@@ -16,7 +16,7 @@
 // same churn_match_basis logic BENCH_parallel.json uses for speedups.
 // A separate phase times the control plane alone (ops/sec for a
 // subscribe/unsubscribe round-trip including the RCU snapshot rebuild),
-// and the snapshot builder's structural-sharing counters land in the
+// and the PRT index refresh's structural-sharing counters land in the
 // JSON so a regression to full recompiles is visible as a rebuilt/shared
 // ratio shift.
 //
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
   {
     std::unique_ptr<Broker> broker = make_broker(threads, set, hops);
     DiscardSink sink;
-    const std::uint64_t builds_before = broker->snapshot_builder().builds();
+    const std::uint64_t builds_before = broker->prt().index_stats().builds;
     std::size_t ops = 0;
     std::size_t cursor = 0;
     auto start = Clock::now();
@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
       elapsed = std::chrono::duration<double>(Clock::now() - start).count();
     } while (elapsed < min_seconds);
     control_ops_per_sec = static_cast<double>(ops) / elapsed;
-    control_builds = broker->snapshot_builder().builds() - builds_before;
+    control_builds = broker->prt().index_stats().builds - builds_before;
     std::cout << "control plane: " << control_ops_per_sec
               << " ops/s (each op publishing a snapshot; " << control_builds
               << " builds)\n";
@@ -315,14 +315,14 @@ int main(int argc, char** argv) {
     if (p.target > 0.0 && baseline_pps > 0.0) {
       p.ops_per_batch = p.target * static_cast<double>(batch) / baseline_pps;
     }
-    const SnapshotBuilder& builder = p.broker->snapshot_builder();
+    const Prt::IndexStats& stats = p.broker->prt().index_stats();
     if (const MatchScheduler* scheduler = p.broker->scheduler()) {
       p.crit_before = scheduler->critical_path_ns();
     }
-    p.builds_before = builder.builds();
-    p.rebuilt_before = builder.buckets_rebuilt();
-    p.shared_before = builder.buckets_shared();
-    p.unchanged_before = builder.buckets_unchanged();
+    p.builds_before = stats.builds;
+    p.rebuilt_before = stats.buckets_rebuilt;
+    p.shared_before = stats.buckets_shared;
+    p.unchanged_before = stats.buckets_unchanged;
   }
 
   // A rep is one carrier pass plus kProbePasses probe passes, so its
@@ -424,11 +424,11 @@ int main(int argc, char** argv) {
             ? 0.0
             : *std::min_element(p.probe_ns_per_pub.begin(),
                                 p.probe_ns_per_pub.end());
-    const SnapshotBuilder& builder = p.broker->snapshot_builder();
-    point.snapshot_builds = builder.builds() - p.builds_before;
-    point.buckets_rebuilt = builder.buckets_rebuilt() - p.rebuilt_before;
-    point.buckets_shared = builder.buckets_shared() - p.shared_before;
-    point.buckets_unchanged = builder.buckets_unchanged() - p.unchanged_before;
+    const Prt::IndexStats& stats = p.broker->prt().index_stats();
+    point.snapshot_builds = stats.builds - p.builds_before;
+    point.buckets_rebuilt = stats.buckets_rebuilt - p.rebuilt_before;
+    point.buckets_shared = stats.buckets_shared - p.shared_before;
+    point.buckets_unchanged = stats.buckets_unchanged - p.unchanged_before;
     std::cout << "churn " << p.target << " ops/s target (achieved "
               << point.achieved_ops_per_sec << " over " << p.reps
               << " reps): " << point.pubs_per_sec << " pubs/s wall, probe "

@@ -129,13 +129,14 @@ double timed_passes(double min_ns, F&& body) {
 
 StageBreakdown measure_stages(const Dtd& dtd, const CoverSet& set, int hops,
                               std::uint64_t seed, double min_seconds) {
-  // A fresh PRT mirroring the sweep broker's table, matched directly so
-  // each stage can be timed without the scheduler around it.
+  // A fresh PRT mirroring the sweep broker's table, its compiled index
+  // matched directly so each stage can be timed without the scheduler
+  // around it.
   Prt prt(/*covering=*/true);
   for (std::size_t i = 0; i < set.xpes.size(); ++i) {
     prt.insert(set.xpes[i], IfaceId{1 + static_cast<int>(i) % hops});
   }
-  prt.prepare_match();
+  const std::shared_ptr<const PrtIndex> index = prt.index();
 
   Rng rng(static_cast<std::uint64_t>(seed) + 7);
   StageBreakdown stages;
@@ -186,21 +187,19 @@ StageBreakdown measure_stages(const Dtd& dtd, const CoverSet& set, int hops,
   });
   stages.intern_ns = intern_pass / static_cast<double>(corpus.size());
 
-  // match: full-table shard match per interned path.
+  // match: the match kernel over the whole compiled index per interned
+  // path (the routine sequential brokers run inline and batch workers run
+  // per publication), hop merge excluded.
   std::vector<InternedPath> interned(corpus.begin(), corpus.end());
   std::vector<std::vector<std::uint32_t>> distinct(interned.size());
   for (std::size_t i = 0; i < interned.size(); ++i) {
-    for (std::uint32_t sym : interned[i].symbols) {
-      if (sym == SymbolTable::kNoSymbol) continue;
-      auto& d = distinct[i];
-      if (std::find(d.begin(), d.end(), sym) == d.end()) d.push_back(sym);
-    }
+    PrtIndex::distinct_symbols(interned[i].view(), &distinct[i]);
   }
   Prt::ShardMatch cell;
   double match_pass = timed_passes(min_ns, [&] {
     for (std::size_t i = 0; i < interned.size(); ++i) {
       cell.clear();
-      prt.match_shard(interned[i].view(), distinct[i], 0, 1, &cell);
+      index->match_shard(interned[i].view(), distinct[i], 0, 1, &cell);
     }
   });
   stages.match_ns = match_pass / static_cast<double>(interned.size());
@@ -209,16 +208,14 @@ StageBreakdown measure_stages(const Dtd& dtd, const CoverSet& set, int hops,
   std::vector<std::vector<IfaceId>> raw_hops(interned.size());
   for (std::size_t i = 0; i < interned.size(); ++i) {
     cell.clear();
-    prt.match_shard(interned[i].view(), distinct[i], 0, 1, &cell);
+    index->match_shard(interned[i].view(), distinct[i], 0, 1, &cell);
     raw_hops[i] = cell.hops;
   }
   std::vector<IfaceId> scratch;
   double merge_pass = timed_passes(min_ns, [&] {
     for (const auto& hops_list : raw_hops) {
       scratch.assign(hops_list.begin(), hops_list.end());
-      std::sort(scratch.begin(), scratch.end());
-      scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                    scratch.end());
+      PrtIndex::canonicalize_hops(&scratch);
     }
   });
   stages.merge_ns = merge_pass / static_cast<double>(interned.size());

@@ -1,15 +1,15 @@
-// Broker hot-path throughput: indexed + interned matching vs the retained
-// linear-scan reference implementations.
+// Broker hot-path throughput: indexed + interned matching vs the linear-
+// scan reference twins in tests/oracles.hpp.
 //
 // Measures the two routing-table operations every message crosses:
 //
 //   subscription forward — Srt::hops_overlapping (symbol index + interned
-//       overlap) vs Srt::hops_overlapping_scan (pre-PR linear scan with
-//       string element comparisons);
+//       overlap) vs hops_overlapping_scan (linear scan with string element
+//       comparisons);
 //   publication match    — flat Prt::match_hops at --subs subscriptions
-//       (deepest-symbol index + interned matcher) vs Prt::match_hops_scan
-//       (pre-PR linear scan), plus the covering tree's root index as an
-//       informative extra.
+//       (the compiled index + interned matcher) vs match_hops_scan (linear
+//       scan with the string matcher), plus the covering tree's compiled
+//       index vs its pruned DFS scan as an informative extra.
 //
 // Every indexed result is verified equal to the reference before timing;
 // the run aborts if any differs. The run also replays the pinned
@@ -29,6 +29,7 @@
 #include "metrics_snapshot.hpp"
 #include "net/golden.hpp"
 #include "net/simulator.hpp"
+#include "oracles.hpp"
 #include "router/routing_tables.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
@@ -145,23 +146,23 @@ int main(int argc, char** argv) {
     // Verification pass (also warms the lazy advertisement automatons so
     // neither timed loop pays compilation).
     for (const Xpe* q : queries) {
-      if (srt.hops_overlapping(*q) != srt.hops_overlapping_scan(*q)) {
+      if (srt.hops_overlapping(*q) !=
+          testing::hops_overlapping_scan(srt, *q)) {
         std::cerr << "MISMATCH: hops_overlapping(" << q->to_string() << ")\n";
         verified = false;
       }
     }
 
-    std::size_t before = srt.comparisons();
     srt_metric.scan_per_sec = ops_per_sec(min_seconds, queries.size(), [&] {
-      for (const Xpe* q : queries) srt.hops_overlapping_scan(*q);
+      for (const Xpe* q : queries) {
+        testing::hops_overlapping_scan(srt, *q, &srt_metric.tests_scan);
+      }
     });
-    std::size_t mid = srt.comparisons();
+    std::size_t before = srt.comparisons();
     srt_metric.indexed_per_sec = ops_per_sec(min_seconds, queries.size(), [&] {
       for (const Xpe* q : queries) srt.hops_overlapping(*q);
     });
-    std::size_t after = srt.comparisons();
-    srt_metric.tests_scan = mid - before;
-    srt_metric.tests_indexed = after - mid;
+    srt_metric.tests_indexed = srt.comparisons() - before;
     std::cout << "SRT forward: scan " << srt_metric.scan_per_sec
               << " subs/s, indexed " << srt_metric.indexed_per_sec
               << " subs/s (" << srt_metric.speedup() << "x)\n";
@@ -177,24 +178,25 @@ int main(int argc, char** argv) {
     prt_metric.table_entries = prt.size();
     prt_metric.queries = paths.size();
 
+    const std::vector<std::pair<Xpe, IfaceSet>> entries =
+        prt.entries_with_hops();
     for (const Path& p : paths) {
-      if (prt.match_hops(p) != prt.match_hops_scan(p)) {
+      if (prt.match_hops(p) != testing::match_hops_scan(entries, p)) {
         std::cerr << "MISMATCH: match_hops(" << p.to_string() << ")\n";
         verified = false;
       }
     }
 
-    std::size_t before = prt.comparisons();
     prt_metric.scan_per_sec = ops_per_sec(min_seconds, paths.size(), [&] {
-      for (const Path& p : paths) prt.match_hops_scan(p);
+      for (const Path& p : paths) {
+        testing::match_hops_scan(entries, p, &prt_metric.tests_scan);
+      }
     });
-    std::size_t mid = prt.comparisons();
+    std::size_t before = prt.comparisons();
     prt_metric.indexed_per_sec = ops_per_sec(min_seconds, paths.size(), [&] {
       for (const Path& p : paths) prt.match_hops(p);
     });
-    std::size_t after = prt.comparisons();
-    prt_metric.tests_scan = mid - before;
-    prt_metric.tests_indexed = after - mid;
+    prt_metric.tests_indexed = prt.comparisons() - before;
     std::cout << "PRT match: scan " << prt_metric.scan_per_sec
               << " pubs/s, indexed " << prt_metric.indexed_per_sec
               << " pubs/s (" << prt_metric.speedup() << "x)\n";
@@ -209,22 +211,23 @@ int main(int argc, char** argv) {
     }
     tree_metric.table_entries = prt.size();
     tree_metric.queries = paths.size();
+    const SubscriptionTree& tree = *prt.tree();
     for (const Path& p : paths) {
-      if (prt.match_hops(p) != prt.match_hops_scan(p)) {
+      if (prt.match_hops(p) != testing::match_hops_scan(tree, p)) {
         std::cerr << "MISMATCH: tree match_hops(" << p.to_string() << ")\n";
         verified = false;
       }
     }
-    std::size_t before = prt.comparisons();
     tree_metric.scan_per_sec = ops_per_sec(min_seconds, paths.size(), [&] {
-      for (const Path& p : paths) prt.match_hops_scan(p);
+      for (const Path& p : paths) {
+        testing::match_hops_scan(tree, p, &tree_metric.tests_scan);
+      }
     });
-    std::size_t mid = prt.comparisons();
+    std::size_t before = prt.comparisons();
     tree_metric.indexed_per_sec = ops_per_sec(min_seconds, paths.size(), [&] {
       for (const Path& p : paths) prt.match_hops(p);
     });
-    tree_metric.tests_scan = mid - before;
-    tree_metric.tests_indexed = prt.comparisons() - mid;
+    tree_metric.tests_indexed = prt.comparisons() - before;
     std::cout << "Tree match: scan " << tree_metric.scan_per_sec
               << " pubs/s, indexed " << tree_metric.indexed_per_sec
               << " pubs/s (" << tree_metric.speedup() << "x)\n";

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "router/routing_snapshot.hpp"
+#include "router/routing_tables.hpp"
 #include "util/symbols.hpp"
 
 namespace xroute {
@@ -84,17 +84,17 @@ std::uint32_t SubscriptionTree::bucket_key(const Xpe& xpe) {
   return SymbolTable::kNoSymbol;
 }
 
-void SubscriptionTree::note_snapshot_dirty(const Node* node) {
-  if (snapshot_all_dirty_) return;
+void SubscriptionTree::note_index_dirty(const Node* node) {
+  if (index_all_dirty_) return;
   while (node->parent != nullptr && node->parent != root_.get()) {
     node = node->parent;
   }
   if (node->parent == nullptr) {
     // Not reachable from the root (defensive): attribution unknown.
-    snapshot_all_dirty_ = true;
+    index_all_dirty_ = true;
     return;
   }
-  snapshot_dirty_keys_.insert(bucket_key(node->xpe));
+  index_dirty_keys_.insert(bucket_key(node->xpe));
 }
 
 SubscriptionTree::InsertResult SubscriptionTree::insert(const Xpe& xpe,
@@ -102,10 +102,9 @@ SubscriptionTree::InsertResult SubscriptionTree::insert(const Xpe& xpe,
   if (Node* existing = find(xpe)) {
     InsertResult result;
     existing->hops.insert(hop);
-    // Hop-only change: the live RootBucket reads hops through Node
-    // pointers and stays valid, but snapshots copy them — mark the
+    // Hop-only change: compiled buckets copy hop lists — mark the
     // containing bucket.
-    note_snapshot_dirty(existing);
+    note_index_dirty(existing);
     result.node = existing;
     result.was_new = false;
     result.covered_by_existing = existing->parent != root_.get() ||
@@ -183,8 +182,8 @@ SubscriptionTree::InsertResult SubscriptionTree::insert_new(const Xpe& xpe,
           result.now_covered.push_back(child->xpe);
           // The captured sibling was a root of its own bucket; it now
           // lives inside the newcomer's — both buckets change.
-          if (!snapshot_all_dirty_) {
-            snapshot_dirty_keys_.insert(bucket_key(child->xpe));
+          if (!index_all_dirty_) {
+            index_dirty_keys_.insert(bucket_key(child->xpe));
           }
           root_child_removed(child.get());
           child->parent = raw;
@@ -214,11 +213,7 @@ SubscriptionTree::InsertResult SubscriptionTree::insert_new(const Xpe& xpe,
     parent->children.push_back(std::move(node));
   }
   by_xpe_.emplace(xpe, raw);
-  // The compiled index serialises whole subtrees, so any structural
-  // mutation anywhere invalidates it (it is rebuilt lazily on the next
-  // match, so a burst of subscription churn costs one rebuild).
-  root_index_dirty_ = true;
-  note_snapshot_dirty(raw);
+  note_index_dirty(raw);
   result.node = raw;
   result.covered_by_existing = parent != root_.get();
 
@@ -291,12 +286,11 @@ void SubscriptionTree::unlink_super(Node* node) {
 void SubscriptionTree::detach_node(Node* node) {
   unlink_super(node);
   Node* parent = node->parent;
-  root_index_dirty_ = true;
-  note_snapshot_dirty(node);
-  if (parent == root_.get() && !snapshot_all_dirty_) {
+  note_index_dirty(node);
+  if (parent == root_.get() && !index_all_dirty_) {
     // The spliced children become roots of their own buckets.
     for (const auto& child : node->children) {
-      snapshot_dirty_keys_.insert(bucket_key(child->xpe));
+      index_dirty_keys_.insert(bucket_key(child->xpe));
     }
   }
   // Splice children to the parent: covering is transitive, so the
@@ -318,7 +312,7 @@ void SubscriptionTree::detach_node(Node* node) {
   // Splice the orphans back in insertion (seq) order rather than
   // appending: sibling lists stay canonically ordered, so removing a
   // subscription that captured siblings restores the exact pre-insert
-  // serialisation order and the snapshot builder sees the bucket as
+  // serialisation order and the index refresh sees the bucket as
   // unchanged.
   const std::size_t merge_point = siblings.size();
   for (auto& orphan : orphans) siblings.push_back(std::move(orphan));
@@ -329,13 +323,12 @@ void SubscriptionTree::detach_node(Node* node) {
 
 SubscriptionTree::Node* SubscriptionTree::adopt(Node* parent,
                                                 std::unique_ptr<Node> child) {
-  root_index_dirty_ = true;
   child->parent = parent;
   Node* raw = child.get();
   by_xpe_.emplace(raw->xpe, raw);
   parent->children.push_back(std::move(child));
   if (parent == root_.get()) root_child_added(raw);
-  note_snapshot_dirty(raw);
+  note_index_dirty(raw);
   return raw;
 }
 
@@ -345,7 +338,7 @@ SubscriptionTree::Node* SubscriptionTree::merge_children(
   // A merge restructures several buckets at once (originals removed,
   // merger adopted possibly elsewhere, covered siblings captured);
   // merges are periodic and rare, so attribute conservatively.
-  snapshot_all_dirty_ = true;
+  index_all_dirty_ = true;
 
   // The merger is strictly more general than its originals and may escape
   // the parent's coverage (e.g. a '//' introduced by the general rule):
@@ -405,7 +398,6 @@ SubscriptionTree::Node* SubscriptionTree::merge_children(
   }
 
   // Remove the originals from the parent and the lookup map.
-  root_index_dirty_ = true;
   auto& siblings = parent->children;
   for (Node* original : originals) {
     by_xpe_.erase(original->xpe);
@@ -460,9 +452,9 @@ bool SubscriptionTree::remove(const Xpe& xpe, IfaceId hop) {
   if (node->hops.empty()) {
     detach_node(node);
   } else {
-    // Hop-only change: snapshots copy hop lists, so the bucket is stale
-    // even though the tree shape is untouched.
-    note_snapshot_dirty(node);
+    // Hop-only change: compiled buckets copy hop lists, so the bucket is
+    // stale even though the tree shape is untouched.
+    note_index_dirty(node);
   }
   return true;
 }
@@ -486,61 +478,22 @@ bool SubscriptionTree::covered(const Xpe& xpe) const {
   return false;
 }
 
-IfaceSet SubscriptionTree::match_hops(const Path& path) const {
-  IfaceSet hops;
-  for (const Node* node : match_nodes(path)) {
-    hops.insert(node->hops.begin(), node->hops.end());
-  }
-  return hops;
-}
-
-IfaceSet SubscriptionTree::match_hops_scan(const Path& path) const {
-  IfaceSet hops;
-  for (const Node* node : match_nodes_scan(path)) {
-    hops.insert(node->hops.begin(), node->hops.end());
-  }
-  return hops;
-}
-
 namespace {
 
-/// Serialises `node` and its whole subtree into `bucket` in DFS pre-order
-/// (see RootBucket for the entry layout). Returns the number of words
-/// emitted for the subtree, so the caller can backpatch its own
-/// skip_words header.
-std::size_t emit_subtree(SubscriptionTree::Node* node,
-                         std::vector<SubscriptionTree::Node*>& nodes,
-                         std::vector<std::uint32_t>& words) {
-  const std::vector<std::uint32_t>& prog = node->xpe.program();
-  const std::size_t header = words.size();
-  words.push_back(static_cast<std::uint32_t>(prog.size()));
-  words.push_back(0);  // skip_words, backpatched below
-  words.push_back(0);  // skip_entries, backpatched below
-  words.insert(words.end(), prog.begin(), prog.end());
-  nodes.push_back(node);
-  const std::size_t entries_before = nodes.size();
-  std::size_t sub_words = 0;
-  for (const auto& child : node->children) {
-    sub_words += emit_subtree(child.get(), nodes, words);
-  }
-  words[header + 1] = static_cast<std::uint32_t>(sub_words);
-  words[header + 2] = static_cast<std::uint32_t>(nodes.size() - entries_before);
-  return 3 + prog.size() + sub_words;
-}
-
-/// Snapshot flavour of emit_subtree: the same DFS pre-order word stream,
-/// but the per-node payload (XPE, hops, merger metadata) is copied into
-/// the immutable bucket instead of referenced through Node pointers —
-/// the live tree keeps mutating after the snapshot is published.
-std::size_t emit_snapshot_subtree(const SubscriptionTree::Node* node,
-                                  SnapshotBucket* out) {
+/// Serialises `node` and its whole subtree into `out` in DFS pre-order
+/// (see PrtBucket for the entry layout). The per-node payload (XPE, hops,
+/// merger metadata) is copied into the immutable bucket instead of
+/// referenced through Node pointers — the live tree keeps mutating after
+/// the index is built. Returns the number of words emitted for the
+/// subtree, so the caller can backpatch its own skip_words header.
+std::size_t emit_subtree(const SubscriptionTree::Node* node, PrtBucket* out) {
   const std::vector<std::uint32_t>& prog = node->xpe.program();
   const std::size_t header = out->words.size();
   out->words.push_back(static_cast<std::uint32_t>(prog.size()));
   out->words.push_back(0);  // skip_words, backpatched below
   out->words.push_back(0);  // skip_entries, backpatched below
   out->words.insert(out->words.end(), prog.begin(), prog.end());
-  SnapshotBucket::Entry entry;
+  PrtBucket::Entry entry;
   // Payload sharing: the node's XPE (and merger list) is immutable for
   // the node's lifetime, so every recompile hands out the same share —
   // no deep copy, and bucket equality degenerates to pointer compares.
@@ -548,26 +501,26 @@ std::size_t emit_snapshot_subtree(const SubscriptionTree::Node* node,
   // its own cache lines — recompiles bump these refcounts constantly,
   // and a co-located control block would invalidate the payload line
   // the match workers have cached for every touched entry.
-  if (!node->snapshot_xpe) {
-    node->snapshot_xpe = std::shared_ptr<const Xpe>(new Xpe(node->xpe));
+  if (!node->shared_xpe) {
+    node->shared_xpe = std::shared_ptr<const Xpe>(new Xpe(node->xpe));
   }
-  entry.xpe = node->snapshot_xpe;
+  entry.xpe = node->shared_xpe;
   entry.hop_begin = static_cast<std::uint32_t>(out->hops.size());
   out->hops.insert(out->hops.end(), node->hops.begin(), node->hops.end());
   entry.hop_end = static_cast<std::uint32_t>(out->hops.size());
   entry.merger = node->merger;
   if (node->merger) {
-    if (!node->snapshot_merged_from) {
-      node->snapshot_merged_from = std::shared_ptr<const std::vector<Xpe>>(
+    if (!node->shared_merged_from) {
+      node->shared_merged_from = std::shared_ptr<const std::vector<Xpe>>(
           new std::vector<Xpe>(node->merged_from));
     }
-    entry.merged_from = node->snapshot_merged_from;
+    entry.merged_from = node->shared_merged_from;
   }
   out->entries.push_back(std::move(entry));
   const std::size_t entries_before = out->entries.size();
   std::size_t sub_words = 0;
   for (const auto& child : node->children) {
-    sub_words += emit_snapshot_subtree(child.get(), out);
+    sub_words += emit_subtree(child.get(), out);
   }
   out->words[header + 1] = static_cast<std::uint32_t>(sub_words);
   out->words[header + 2] =
@@ -577,93 +530,20 @@ std::size_t emit_snapshot_subtree(const SubscriptionTree::Node* node,
 
 }  // namespace
 
-void SubscriptionTree::compile_snapshot_bucket(std::uint32_t key,
-                                               SnapshotBucket* out) const {
-  // Same bucket membership and visit order as rebuild_root_index: root
-  // children in sibling order, each serialising its whole subtree — so a
-  // snapshot scan performs the exact comparison sequence the live index
-  // would (determinism contract).
+void SubscriptionTree::compile_bucket(std::uint32_t key,
+                                      PrtBucket* out) const {
   for (const auto& child : root_->children) {
-    if (bucket_key(child->xpe) == key) {
-      emit_snapshot_subtree(child.get(), out);
-    }
+    if (bucket_key(child->xpe) == key) emit_subtree(child.get(), out);
   }
 }
 
-std::vector<std::uint32_t> SubscriptionTree::snapshot_bucket_keys() const {
+std::vector<std::uint32_t> SubscriptionTree::bucket_keys() const {
   std::set<std::uint32_t> keys;
   for (const auto& child : root_->children) {
     const std::uint32_t key = bucket_key(child->xpe);
     if (key != SymbolTable::kNoSymbol) keys.insert(key);
   }
   return {keys.begin(), keys.end()};
-}
-
-void SubscriptionTree::rebuild_root_index() const {
-  roots_by_symbol_.clear();
-  unindexed_roots_.nodes.clear();
-  unindexed_roots_.words.clear();
-  auto add = [](RootBucket& bucket, Node* node) {
-    emit_subtree(node, bucket.nodes, bucket.words);
-  };
-  for (const auto& child : root_->children) {
-    Node* node = child.get();
-    const std::uint32_t key = bucket_key(node->xpe);
-    add(key == SymbolTable::kNoSymbol ? unindexed_roots_
-                                      : roots_by_symbol_[key],
-        node);
-  }
-  root_index_dirty_ = false;
-}
-
-std::vector<const SubscriptionTree::Node*> SubscriptionTree::match_nodes(
-    const Path& path) const {
-  if (root_index_dirty_) rebuild_root_index();
-  const InternedPath ip(path);
-  const PathView view = ip.view();
-  std::vector<const Node*> out;
-  auto visit = [&out](const Node& node) { out.push_back(&node); };
-  scan_root_bucket(unindexed_roots_, view, visit, &comparisons_);
-  // Union the buckets of each distinct symbol occurring in the path.
-  for (std::size_t i = 0; i < ip.size(); ++i) {
-    const std::uint32_t sym = ip[i];
-    if (sym == SymbolTable::kNoSymbol) continue;  // element never interned
-    bool seen = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (ip[j] == sym) {
-        seen = true;
-        break;
-      }
-    }
-    if (seen) continue;
-    auto it = roots_by_symbol_.find(sym);
-    if (it == roots_by_symbol_.end()) continue;
-    scan_root_bucket(it->second, view, visit, &comparisons_);
-  }
-  return out;
-}
-
-void SubscriptionTree::ensure_root_index() const {
-  if (root_index_dirty_) rebuild_root_index();
-}
-
-std::vector<const SubscriptionTree::Node*> SubscriptionTree::match_nodes_scan(
-    const Path& path) const {
-  std::vector<const Node*> out;
-  std::vector<const Node*> stack;
-  for (const auto& child : root_->children) stack.push_back(child.get());
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    ++comparisons_;
-    if (!matches(path, node->xpe)) {
-      // The node covers its whole subtree: nothing below can match either.
-      continue;
-    }
-    out.push_back(node);
-    for (const auto& child : node->children) stack.push_back(child.get());
-  }
-  return out;
 }
 
 void SubscriptionTree::for_each(

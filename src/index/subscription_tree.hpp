@@ -14,9 +14,11 @@
 //                  upstream.
 //   * remove     — unsubscription: children splice to the grandparent
 //                  (covering is transitive, so the invariant holds).
-//   * match      — publication matching with subtree pruning: if a path
-//                  does not match a node it cannot match anything the node
-//                  covers, so the whole subtree is skipped.
+//   * compile    — serialises the subtrees under each root bucket into
+//                  the PRT's match index (router/routing_tables.hpp), which
+//                  matches with subtree pruning: if a path does not match
+//                  a node it cannot match anything the node covers, so the
+//                  whole subtree is skipped.
 //   * merging support — nodes carry merger metadata (see merging.h).
 //
 // Each node carries the set of last hops the subscription was received
@@ -29,21 +31,18 @@
 #include <functional>
 #include <memory>
 #include <set>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "match/covering.hpp"
-#include "match/pub_match.hpp"
 #include "router/iface.hpp"
 #include "util/symbols.hpp"
-#include "xml/paths.hpp"
 #include "xpath/xpe.hpp"
 
 namespace xroute {
 
-struct SnapshotBucket;  // router/routing_snapshot.hpp
+struct PrtBucket;  // router/routing_tables.hpp
 
 class SubscriptionTree {
  public:
@@ -54,8 +53,8 @@ class SubscriptionTree {
     /// detach_node merges spliced orphans back by seq), so the compiled
     /// serialisation order is canonical: a subscribe/unsubscribe pair
     /// that nets out structurally reproduces the previous byte stream
-    /// exactly, which is what lets the snapshot builder detect and
-    /// elide no-op rebuilds under churn.
+    /// exactly, which is what lets the index refresh detect and elide
+    /// no-op recompiles under churn.
     std::uint64_t seq = 0;
     /// symbol_sig(xpe), fixed at creation like `xpe` itself. Root-level
     /// insert scans test signatures from the packed root index instead
@@ -75,14 +74,13 @@ class SubscriptionTree {
     /// Merger bookkeeping (paper §4.3).
     bool merger = false;
     std::vector<Xpe> merged_from;
-    /// Lazily created immutable shares of the payloads snapshot
-    /// compilation needs (router/routing_snapshot.hpp): one deep copy
-    /// per node lifetime, shared by every recompile instead of copied
-    /// into each bucket. `xpe` never changes after node creation;
-    /// `merged_from`'s post-creation assignment site (restore_merger)
-    /// resets the cache.
-    mutable std::shared_ptr<const Xpe> snapshot_xpe;
-    mutable std::shared_ptr<const std::vector<Xpe>> snapshot_merged_from;
+    /// Lazily created immutable shares of the payloads index compilation
+    /// needs (PrtBucket::Entry): one deep copy per node lifetime, shared
+    /// by every recompile instead of copied into each bucket. `xpe` never
+    /// changes after node creation; `merged_from`'s post-creation
+    /// assignment site (restore_merger) resets the cache.
+    mutable std::shared_ptr<const Xpe> shared_xpe;
+    mutable std::shared_ptr<const std::vector<Xpe>> shared_merged_from;
   };
 
   struct InsertResult {
@@ -124,89 +122,6 @@ class SubscriptionTree {
   /// True if some subscription other than `xpe` itself covers `xpe`.
   bool covered(const Xpe& xpe) const;
 
-  /// Destination hops of every subscription matching `path` (deduplicated).
-  IfaceSet match_hops(const Path& path) const;
-
-  /// Matching subscriptions themselves (used by edge delivery and tests).
-  /// Uses the first-step root index + interned matching: only root buckets
-  /// whose discriminating symbol appears in the path are visited, then the
-  /// usual covering-pruned descent. Results are exactly the linear scan's
-  /// (order may differ; callers treat the result as a set).
-  std::vector<const Node*> match_nodes(const Path& path) const;
-
-  /// Pre-index linear-scan reference: visits every root with the string
-  /// matcher. Retained as the differential-test oracle and the
-  /// perf_routing "before" baseline; do not use on the hot path.
-  std::vector<const Node*> match_nodes_scan(const Path& path) const;
-  IfaceSet match_hops_scan(const Path& path) const;
-
-  // -- Parallel matching support (router/match_scheduler.hpp) --------------
-  //
-  // Shard-local matching partitions the root index by symbol_shard() of
-  // each root's discriminating symbol; the union over all shards of
-  // match_shard() visits exactly the nodes match_nodes() visits, each in
-  // exactly one shard. The methods below are pure reads: they never touch
-  // the lazy index or the mutable counters, so any number of threads may
-  // run them concurrently against an immutable tree — provided
-  // ensure_root_index() ran first and no mutation overlaps the reads
-  // (the scheduler's epoch barrier enforces both).
-
-  /// Forces the lazy root index now (control thread, before a match epoch).
-  void ensure_root_index() const;
-
-  /// Visits every node of shard `shard` (of `shard_count`) matching `ip`,
-  /// in covering-pruned descent order. `distinct_symbols` must be the
-  /// deduplicated symbol list of the path (precomputed once per path).
-  /// Shard 0 additionally owns the all-wildcard side list. Comparison
-  /// tests are accumulated into `*comparisons` instead of the member
-  /// counter; fold them back via add_comparisons() after the epoch.
-  /// Takes a borrowed PathView so workers can intern into reusable
-  /// scratch storage instead of allocating an InternedPath per call.
-  /// Templated on the visitor (the per-task call rate makes a
-  /// std::function's indirect call and potential allocation measurable).
-  /// The walk itself is a sequential scan of the compiled bucket streams
-  /// — no stack, no allocation, no per-node pointer chase.
-  template <typename Visit>
-  void match_shard(const PathView& ip,
-                   std::span<const std::uint32_t> distinct_symbols,
-                   std::size_t shard, std::size_t shard_count, Visit&& visit,
-                   std::size_t* comparisons) const {
-    // Pure read by contract: the index was forced by ensure_root_index()
-    // and no mutation overlaps the epoch, so the lazy-rebuild branch of
-    // match_nodes() must never trigger here.
-    if (shard == 0) {
-      scan_root_bucket(unindexed_roots_, ip, visit, comparisons);
-    }
-    for (std::uint32_t sym : distinct_symbols) {
-      if (symbol_shard(sym, static_cast<std::uint32_t>(shard_count)) !=
-          shard) {
-        continue;
-      }
-      auto it = roots_by_symbol_.find(sym);
-      if (it == roots_by_symbol_.end()) continue;
-      scan_root_bucket(it->second, ip, visit, comparisons);
-    }
-  }
-
-  /// Folds worker-local comparison counts back into comparisons() so the
-  /// observable totals are identical to a sequential run. Control thread
-  /// only (between epochs).
-  void add_comparisons(std::size_t n) const { comparisons_ += n; }
-
-  // -- Snapshot support (router/routing_snapshot.hpp) ----------------------
-  //
-  // The RCU snapshot builder recompiles only the root-index buckets whose
-  // content may have changed since the last build. Every mutator below
-  // marks the affected bucket key(s); overshoot (marking a clean bucket)
-  // costs one redundant recompile, undershoot would be a stale-route bug,
-  // so attribution is conservative: hop-only changes mark too (snapshots
-  // copy the hop lists the live RootBucket reads through Node pointers),
-  // and merge passes mark everything.
-
-  /// The root-index bucket key of `xpe`: its deepest concrete step
-  /// symbol, or SymbolTable::kNoSymbol for the all-wildcard side bucket.
-  static std::uint32_t bucket_key(const Xpe& xpe);
-
   /// 64-bit Bloom signature over the XPE's concrete step symbols.
   /// Covering maps every concrete coverer step onto an equal symbol of
   /// the covered expression (symbol_covers), so covers(a, b) implies
@@ -214,25 +129,39 @@ class SubscriptionTree {
   /// the root-level insert scans without reading either XPE.
   static std::uint64_t symbol_sig(const Xpe& xpe);
 
-  bool snapshot_all_dirty() const { return snapshot_all_dirty_; }
-  const std::set<std::uint32_t>& snapshot_dirty_keys() const {
-    return snapshot_dirty_keys_;
+  // -- Match index support (router/routing_tables.hpp) --------------------
+  //
+  // The PRT's compiled index recompiles only the buckets whose content
+  // may have changed since the last refresh. Every mutator below marks
+  // the affected bucket key(s); overshoot (marking a clean bucket) costs
+  // one redundant recompile, undershoot would be a stale-route bug, so
+  // attribution is conservative: hop-only changes mark too (buckets copy
+  // hop lists), and merge passes mark everything.
+
+  /// The bucket key of `xpe`: its deepest concrete step symbol (a path
+  /// can only match the XPE, or anything it covers, if it contains that
+  /// element), or SymbolTable::kNoSymbol for the all-wildcard side bucket.
+  static std::uint32_t bucket_key(const Xpe& xpe);
+
+  bool index_all_dirty() const { return index_all_dirty_; }
+  const std::set<std::uint32_t>& index_dirty_keys() const {
+    return index_dirty_keys_;
   }
-  void clear_snapshot_dirty() {
-    snapshot_dirty_keys_.clear();
-    snapshot_all_dirty_ = false;
+  /// Called by the index refresh once it has compiled every dirty bucket.
+  void clear_index_dirty() const {
+    index_dirty_keys_.clear();
+    index_all_dirty_ = false;
   }
-  void mark_snapshot_all_dirty() { snapshot_all_dirty_ = true; }
+  void mark_index_dirty() { index_all_dirty_ = true; }
 
   /// Compiles the bucket of `key` — every root child whose bucket_key()
-  /// is `key`, with its whole subtree — into `out` (DFS pre-order, same
-  /// membership and order as rebuild_root_index()). Reads the node tree
-  /// directly; never touches the lazy index.
-  void compile_snapshot_bucket(std::uint32_t key, SnapshotBucket* out) const;
+  /// is `key`, in sibling order, each with its whole subtree in DFS
+  /// pre-order — into `out`.
+  void compile_bucket(std::uint32_t key, PrtBucket* out) const;
 
   /// Distinct bucket keys currently present among root children,
   /// excluding kNoSymbol (full-rebuild enumeration).
-  std::vector<std::uint32_t> snapshot_bucket_keys() const;
+  std::vector<std::uint32_t> bucket_keys() const;
 
   /// Number of subscriptions stored — the paper's "routing table size".
   std::size_t size() const { return by_xpe_.size(); }
@@ -244,13 +173,12 @@ class SubscriptionTree {
   /// Depth-first visit of every node (parents before children).
   void for_each(const std::function<void(const Node&)>& fn) const;
 
-  /// Comparison counter: number of covers()/matches() tests requested
-  /// since construction; the processing-time experiments report it.
+  /// Comparison counter: number of covers() tests requested since
+  /// construction (match tests are counted by the PRT's index, see
+  /// Prt::comparisons()); the processing-time experiments report both.
   /// Covering tests answered from the memo cache still count (the request
   /// happened; only its cost changed), so covering-routing experiment
-  /// numbers are unchanged by the cache. Matching tests skipped by the
-  /// root index are NOT counted — the index provably excludes those roots
-  /// without evaluating them.
+  /// numbers are unchanged by the cache.
   std::size_t comparisons() const { return comparisons_; }
 
   /// Covering-memo statistics (see DESIGN.md "Performance architecture").
@@ -284,59 +212,15 @@ class SubscriptionTree {
                        const Xpe& merger_xpe);
 
  private:
-  /// One compiled root-index bucket: every subtree rooted at the bucket's
-  /// member roots, serialised in DFS pre-order into a single contiguous
-  /// word stream. Per entry: [prog_len, skip_words, skip_entries,
-  /// prog...]; `nodes` is parallel (entry order) and supplies hops,
-  /// children metadata, and the Xpe for predicate evaluation. On a failed
-  /// test the walk advances `skip_words`/`skip_entries` past the whole
-  /// subtree — the covering prune — so the entire match, prune and
-  /// descent is one sequential scan with forward jumps: no stack, no
-  /// Node → Xpe → program_ pointer chase per entry (measured ~49 ns/test
-  /// chased vs single-digit ns streamed).
-  struct RootBucket {
-    std::vector<Node*> nodes;
-    std::vector<std::uint32_t> words;
-  };
-
-  /// Walks one compiled bucket: visits every node whose XPE matches `ip`,
-  /// skipping failed subtrees wholesale. Counting contract: exactly one
-  /// comparison per reached entry — identical totals to the explicit
-  /// stack walk it replaces.
-  template <typename Visit>
-  void scan_root_bucket(const RootBucket& bucket, const PathView& ip,
-                        Visit&& visit, std::size_t* comparisons) const {
-    const std::uint32_t* w = bucket.words.data();
-    const std::uint32_t* const end = w + bucket.words.size();
-    std::size_t k = 0;
-    while (w != end) {
-      const std::uint32_t n = *w++;
-      const std::uint32_t skip_words = *w++;
-      const std::uint32_t skip_entries = *w++;
-      const Node* node = bucket.nodes[k++];
-      ++*comparisons;
-      if (matches_program(ip, w, n, node->xpe)) {
-        visit(*node);
-        w += n;
-      } else {
-        // The node covers its whole subtree: nothing below can match
-        // either.
-        w += n + skip_words;
-        k += skip_entries;
-      }
-    }
-  }
-
   InsertResult insert_new(const Xpe& xpe, IfaceId hop);
   void collect_covered_outside(const Xpe& xpe, const Node* skip,
                                Node* origin_node,
                                std::vector<Xpe>* out);
   /// Marks the bucket containing `node` (its root ancestor's key) dirty
-  /// for the snapshot builder.
-  void note_snapshot_dirty(const Node* node);
+  /// for the index refresh.
+  void note_index_dirty(const Node* node);
   bool covers_cached(const Xpe& a, const Xpe& b) const;
   void unlink_super(Node* node);
-  void rebuild_root_index() const;
 
   /// Bounded memo for covers() over canonical XPE uid pairs. Entries bind
   /// XPE *values* — covers(a, b) is a pure function of the two
@@ -381,22 +265,11 @@ class SubscriptionTree {
   mutable std::unordered_map<std::uint64_t, bool> cover_cache_;
   mutable std::size_t cover_cache_hits_ = 0;
 
-  // First-step index over root children, rebuilt lazily after structural
-  // mutations: each root is bucketed under its deepest concrete step
-  // symbol (a path can only match it if it contains that element); roots
-  // with no concrete step (all-wildcard XPEs) stay in the always-visited
-  // side bucket. match_nodes() visits only the buckets of symbols present
-  // in the path, plus the side bucket. Buckets carry the flattened
-  // program stream (see RootBucket).
-  mutable std::unordered_map<std::uint32_t, RootBucket> roots_by_symbol_;
-  mutable RootBucket unindexed_roots_;
-  mutable bool root_index_dirty_ = true;
-
-  // Snapshot dirty tracking (router/routing_snapshot.hpp): bucket keys
-  // whose compiled form may differ from the last clear_snapshot_dirty().
-  // Starts all-dirty so the first build is a full compile.
-  std::set<std::uint32_t> snapshot_dirty_keys_;
-  bool snapshot_all_dirty_ = true;
+  // Index dirty tracking: bucket keys whose compiled form may differ
+  // from the last refresh (cleared by the refresh, hence mutable). Starts
+  // all-dirty so the first refresh is a full compile.
+  mutable std::set<std::uint32_t> index_dirty_keys_;
+  mutable bool index_all_dirty_ = true;
 };
 
 }  // namespace xroute

@@ -28,11 +28,12 @@ bool matches(const PathView& p, const Xpe& s);
 
 /// Raw-program kernel: same relation as matches(PathView, Xpe), but driven
 /// by a borrowed span of Xpe::program() words that need not live inside
-/// `s` itself. The subscription-tree root index serialises every root
-/// bucket's programs into one contiguous word stream and scans it with
-/// this function, so the dominant case — a root test that fails — touches
-/// only sequential memory instead of chasing Node → Xpe → program_ per
-/// entry. `s` is consulted only for predicate evaluation (rare).
+/// `s` itself. The PRT's compiled index (router/routing_tables.hpp)
+/// serialises every bucket's programs into one contiguous word stream and
+/// scans it with this function, so the dominant case — a failed test —
+/// touches only sequential memory instead of chasing Node → Xpe →
+/// program_ per entry. `s` is consulted only for predicate evaluation
+/// (rare).
 bool matches_program(const PathView& p, const std::uint32_t* prog,
                      std::size_t n, const Xpe& s);
 

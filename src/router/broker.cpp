@@ -74,10 +74,7 @@ Broker::Broker(Broker&& other)
     scheduler_ = std::make_unique<MatchScheduler>(MatchScheduler::Options{
         config_.match_threads, config_.effective_shards()});
   }
-  // The moved-in tables' dirty tracking may be clean (the old broker
-  // already built a snapshot from them), but this object's store starts
-  // empty — force a full rebuild on the first refresh.
-  prt_.mark_snapshot_all_dirty();
+  // This object's store starts empty: publish on the first refresh.
   edge_dirty_ = true;
 }
 
@@ -92,14 +89,17 @@ void Broker::add_client(IfaceId interface_id) {
 
 void Broker::refresh_snapshot() {
   if (!scheduler_ || defer_refresh_) return;
-  if (!edge_dirty_ && !prt_.snapshot_dirty()) return;
   auto prev = snapshots_.current();
-  auto next = snapshot_builder_.build(prt_, clients_, client_subs_,
-                                      edge_dirty_, prev, snapshots_.gauge());
-  // build() returns prev itself when the dirty keys recompiled to
-  // identical content (control ops netted out): nothing to publish.
-  if (next != prev) snapshots_.publish(std::move(next));
-  prt_.clear_snapshot_dirty();
+  // index() keeps the previous index itself when nothing is dirty or the
+  // dirty buckets recompiled to identical content (control ops netted
+  // out): with the edge state clean too, there is nothing to publish.
+  const std::shared_ptr<const PrtIndex>& index = prt_.index();
+  if (index == prev->index() && !edge_dirty_) return;
+  auto edge = edge_dirty_ ? std::make_shared<const RoutingSnapshot::Edge>(
+                                RoutingSnapshot::Edge{clients_, client_subs_})
+                          : prev->edge();
+  snapshots_.publish(std::make_shared<const RoutingSnapshot>(
+      prev->version() + 1, index, std::move(edge), snapshots_.gauge()));
   edge_dirty_ = false;
 }
 
@@ -161,9 +161,9 @@ void Broker::restore_merger(const Xpe& merger,
   if (SubscriptionTree::Node* node = prt_.tree()->find(merger)) {
     node->merger = true;
     node->merged_from = originals;
-    node->snapshot_merged_from.reset();
+    node->shared_merged_from.reset();
     // Direct node surgery bypasses the tree's dirty tracking.
-    prt_.mark_snapshot_all_dirty();
+    prt_.mark_index_dirty();
   }
 }
 
@@ -578,8 +578,8 @@ void Broker::handle_unsubscribe(IfaceId from, const UnsubscribeMsg& msg,
 std::vector<IfaceId> Broker::match_publication(const PublishMsg& msg,
                                                HandleStatus* out) {
   if (scheduler_) {
-    // Match against the current snapshot (refreshed here if any control
-    // op dirtied the tables since the last build).
+    // Match against the current snapshot (published here if any control
+    // op changed the index or the edge state since the last publish).
     refresh_snapshot();
     MatchScheduler::MatchResult result =
         scheduler_->match_one(msg.path, snapshots_.current());
@@ -587,32 +587,13 @@ std::vector<IfaceId> Broker::match_publication(const PublishMsg& msg,
     prt_.add_comparisons(result.comparisons);
     return std::move(result.hops);
   }
-  std::vector<IfaceId> hops;
+  // Inline on this thread: the same compiled index and kernel, refreshed
+  // here if control ops dirtied buckets since the last match.
   StageTimer match_timer(stages_ ? &stages_->prt_match_ms : nullptr);
-  if (prt_.covering()) {
-    for (const SubscriptionTree::Node* node :
-         prt_.tree()->match_nodes(msg.path)) {
-      hops.insert(hops.end(), node->hops.begin(), node->hops.end());
-      if (node->merger) {
-        // A merger match that no merged original backs is an in-network
-        // false positive introduced by imperfect merging (paper Fig. 9).
-        bool backed = false;
-        for (const Xpe& original : node->merged_from) {
-          if (matches(msg.path, original)) {
-            backed = true;
-            break;
-          }
-        }
-        if (!backed) ++out->merger_false_matches;
-      }
-    }
-    std::sort(hops.begin(), hops.end());
-    hops.erase(std::unique(hops.begin(), hops.end()), hops.end());
-  } else {
-    IfaceSet set = prt_.match_hops(msg.path);
-    hops.assign(set.begin(), set.end());
-  }
-  return hops;
+  Prt::ShardMatch result;
+  prt_.match(msg.path, &result);
+  out->merger_false_matches += result.merger_false_matches;
+  return std::move(result.hops);
 }
 
 void Broker::forward_publication(IfaceId from, const Message& envelope,

@@ -225,9 +225,9 @@ class Broker {
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
   /// Move tears down the old worker pool and starts a fresh one with a
-  /// fresh snapshot store (the first refresh rebuilds in full). Only
-  /// legal whenever no handle() call is in flight — the broker's usual
-  /// single-writer rule.
+  /// fresh snapshot store (the first refresh publishes the moved PRT's
+  /// index). Only legal whenever no handle() call is in flight — the
+  /// broker's usual single-writer rule.
   Broker(Broker&& other);
   Broker& operator=(Broker&&) = delete;
 
@@ -282,15 +282,12 @@ class Broker {
   /// export and tests).
   const MatchScheduler* scheduler() const { return scheduler_.get(); }
 
-  /// The RCU snapshot machinery (router/routing_snapshot.hpp): the store
-  /// holding the current published snapshot and the builder's structural-
-  /// sharing counters. Only meaningful with match_threads > 1 (the
-  /// sequential path matches the live tables directly); tests and
-  /// bench/churn read these.
+  /// The RCU snapshot store holding the current published snapshot. Only
+  /// meaningful with match_threads > 1: a sequential broker matches the
+  /// PRT's compiled index inline and publishes nothing. Tests and
+  /// bench/churn read it (the index's compile counters are
+  /// prt().index_stats()).
   const SnapshotStore& snapshot_store() const { return snapshots_; }
-  const SnapshotBuilder& snapshot_builder() const {
-    return snapshot_builder_;
-  }
 
   // -- Snapshot support (router/snapshot.h) --------------------------------
   const Srt& srt() const { return srt_; }
@@ -339,8 +336,8 @@ class Broker {
 
   /// The match stage of handle_publish: the hops of every matching PRT
   /// entry (sorted ascending, deduplicated), with merger false matches
-  /// counted. Sequential or — when the scheduler exists — fanned across
-  /// the worker pool.
+  /// counted. Scans the PRT's compiled index inline or — when the
+  /// scheduler exists — fanned across the worker pool.
   std::vector<IfaceId> match_publication(const PublishMsg& msg,
                                          HandleStatus* out);
 
@@ -359,9 +356,11 @@ class Broker {
                            const RoutingSnapshot* view, ForwardSink& sink,
                            HandleStatus* out);
 
-  /// Rebuilds and publishes the routing snapshot if any table or edge
-  /// state changed since the last build. No-op when the scheduler is off
-  /// (sequential brokers match the live tables) or nothing is dirty.
+  /// Publishes the next routing snapshot if the PRT's index or the edge
+  /// state changed since the last publish (refreshing the index compiles
+  /// its dirty buckets). No-op when the scheduler is off: a sequential
+  /// broker refreshes the index lazily at its next match and reads the
+  /// live edge state.
   void refresh_snapshot();
 
   /// Next-hop broker interfaces for a subscription: SRT overlap when
@@ -406,15 +405,14 @@ class Broker {
   /// broker mutates prt_/srt_ freely while an epoch runs and publishes
   /// the next snapshot when done (no quiesce barrier).
   std::unique_ptr<MatchScheduler> scheduler_;
-  /// Current published routing snapshot + builder (control thread only
-  /// for build/publish; workers read through the scheduler's pin).
+  /// Current published routing snapshot (control thread only for
+  /// publish; workers read through the scheduler's pin).
   SnapshotStore snapshots_;
-  SnapshotBuilder snapshot_builder_;
   /// Edge state (clients_/client_subs_) changed since the last snapshot
-  /// build. Starts true so the first refresh publishes a complete view.
+  /// publish. Starts true so the first refresh publishes a complete view.
   bool edge_dirty_ = true;
   /// True while handle_batch runs the pipelined control window: snapshot
-  /// publication coalesces to a single build at the next epoch's pin
+  /// publication coalesces to a single publish at the next epoch's pin
   /// instead of one per control op (no epoch can pin mid-window, so the
   /// intermediate snapshots would never be observed).
   bool defer_refresh_ = false;

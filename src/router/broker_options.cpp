@@ -77,9 +77,6 @@ std::string BrokerOptions::parse_option(const std::string& key,
   if (key == "merging") {
     return parse_bool(value, &options.merging_enabled) ? "" : bad_bool();
   }
-  if (key == "streaming") {
-    return parse_bool(value, &options.streaming_pipeline) ? "" : bad_bool();
-  }
   if (key == "merge_interval") {
     return parse_size(value, &options.merge_interval) ? "" : bad_size();
   }

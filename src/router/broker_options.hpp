@@ -39,15 +39,6 @@ struct BrokerOptions {
   /// Ignored when match_threads == 1.
   std::size_t shard_count = 0;
 
-  // -- Publication intake (xml/stream_parser.hpp) --------------------------
-  /// Decompose published documents with the streaming path extractor
-  /// (single pass over the wire bytes, arena-backed, no DOM), and let the
-  /// transport reuse inbound publication frames verbatim when forwarding.
-  /// Off = the tree-building xml::Parser pipeline, retained as the
-  /// reference implementation; both produce byte-identical streams
-  /// (tests/stream_pipeline_test).
-  bool streaming_pipeline = true;
-
   /// Effective shard count after defaulting.
   std::size_t effective_shards() const {
     return shard_count != 0 ? shard_count : 2 * match_threads;
@@ -61,7 +52,6 @@ struct BrokerOptions {
   /// on/off/true/false/1/0 for booleans):
   ///
   ///   advertisements, covering, track_covered, merging  booleans
-  ///   streaming                                         streaming_pipeline
   ///   merge_interval                                    size_t > 0
   ///   threads                                           match_threads
   ///   shards                                            shard_count
@@ -75,18 +65,5 @@ struct BrokerOptions {
   /// throws std::invalid_argument with this text.
   std::string validate() const;
 };
-
-/// Back-compat free-function spellings; thin wrappers over
-/// BrokerOptions::parse_option.
-inline std::string apply_broker_option(BrokerOptions& options,
-                                       const std::string& key,
-                                       const std::string& value) {
-  return options.parse_option(key, value);
-}
-
-inline std::string apply_broker_option(BrokerOptions& options,
-                                       const std::string& key_equals_value) {
-  return options.parse_option(key_equals_value);
-}
 
 }  // namespace xroute

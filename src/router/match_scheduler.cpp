@@ -6,8 +6,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "util/symbols.hpp"
-
 namespace xroute {
 
 namespace {
@@ -46,30 +44,6 @@ constexpr std::uint64_t kGridCountMask = kGridBatchBit - 1;
 
 constexpr std::uint32_t epoch_tag(std::uint64_t word) {
   return static_cast<std::uint32_t>(word >> 32);
-}
-
-/// Deduplicated symbol list in first-occurrence order, exactly as
-/// match_nodes() builds its bucket union — the shard matchers partition
-/// this list, so computing it once per publication keeps per-shard work
-/// disjoint.
-void build_distinct_symbols(const PathView& ip,
-                            std::vector<std::uint32_t>* out) {
-  out->clear();
-  out->reserve(ip.size());
-  for (std::size_t i = 0; i < ip.size(); ++i) {
-    const std::uint32_t sym = ip[i];
-    if (sym == SymbolTable::kNoSymbol) continue;  // element never interned
-    if (std::find(out->begin(), out->end(), sym) == out->end()) {
-      out->push_back(sym);
-    }
-  }
-}
-
-/// Sort + dedup a concatenated hop list into the canonical ascending
-/// order the sequential IfaceSet iteration produced.
-void canonicalize_hops(std::vector<IfaceId>* hops) {
-  std::sort(hops->begin(), hops->end());
-  hops->erase(std::unique(hops->begin(), hops->end()), hops->end());
 }
 
 }  // namespace
@@ -166,7 +140,7 @@ void MatchScheduler::worker_loop(std::size_t worker_index) {
     // latest value in modification order, so stale-generation claims
     // always fail), and the control thread set epoch_snapshot_ strictly
     // before publishing `gen` — so the read below never overlaps a write.
-    const RoutingSnapshot* snap = nullptr;
+    const PrtIndex* index = nullptr;
     std::uint64_t claimed = 0;
     std::uint64_t stolen = 0;
     const std::uint64_t cpu_start = thread_cpu_ns();
@@ -181,20 +155,15 @@ void MatchScheduler::worker_loop(std::size_t worker_index) {
                                                 std::memory_order_relaxed)) {
           continue;  // word was reloaded by the failed CAS
         }
-        if (!snap) snap = epoch_snapshot_.get();
+        if (!index) index = epoch_snapshot_->index().get();
         if (batch) {
           // One publication: intern into worker scratch (the symbol table
           // only grows and its lookups take a shared lock), match against
-          // the whole pinned snapshot in a single call (shard_count 1
-          // degenerates to the sequential routine, so comparison counts
-          // are identical by construction), and merge in place — all off
+          // the whole pinned index in a single call — the very routine a
+          // sequential broker runs inline — and merge in place, all off
           // the control thread.
           Pub& pub = pubs_[task];
-          const PathView view = intern_path(*pub.src, symbols);
-          build_distinct_symbols(view, &distinct);
-          cell.clear();
-          snap->match_shard(view, distinct, 0, 1, &cell);
-          canonicalize_hops(&cell.hops);
+          index->match(intern_path(*pub.src, symbols), &distinct, &cell);
           pub.result.hops.assign(cell.hops.begin(), cell.hops.end());
           pub.result.merger_false_matches = cell.merger_false_matches;
           pub.result.comparisons = cell.comparisons;
@@ -203,8 +172,8 @@ void MatchScheduler::worker_loop(std::size_t worker_index) {
           // matching for the per-message path.
           Pub& pub = pubs_.front();
           pub.per_shard[task].clear();
-          snap->match_shard(pub.ip->view(), pub.distinct_symbols, task,
-                            shards, &pub.per_shard[task]);
+          index->match_shard(pub.ip->view(), pub.distinct_symbols, task,
+                             shards, &pub.per_shard[task]);
         }
         ++claimed;
         if (offset != 0) ++stolen;
@@ -324,7 +293,7 @@ MatchScheduler::MatchResult MatchScheduler::merge_pub(const Pub& pub) const {
     out.merger_false_matches += shard.merger_false_matches;
     out.comparisons += shard.comparisons;
   }
-  canonicalize_hops(&out.hops);
+  PrtIndex::canonicalize_hops(&out.hops);
   return out;
 }
 
@@ -335,7 +304,7 @@ MatchScheduler::MatchResult MatchScheduler::match_one(
   Pub& pub = pubs_.front();
   pub.src = &path;
   pub.ip.emplace(path);
-  build_distinct_symbols(pub.ip->view(), &pub.distinct_symbols);
+  PrtIndex::distinct_symbols(pub.ip->view(), &pub.distinct_symbols);
   pub.per_shard.resize(options_.shards);
   stage_queues(gen, options_.shards);
   grid_.store(gen << 32 | static_cast<std::uint64_t>(task_count_),

@@ -1,13 +1,13 @@
 // MatchScheduler — the parallel publication-matching engine.
 //
 // Publication matching is the broker's hot path and is embarrassingly
-// parallel once the routing tables are sharded: the PRT's symbol indexes
-// (the covering tree's root index, or the flat list's deepest-symbol
-// buckets) partition entries by their discriminating symbol, and
-// symbol_shard() partitions those buckets into `shards` disjoint groups.
-// A worker matching shard k visits exactly the entries of its buckets —
-// no locks, no shared mutable state — and the union over all shards is
-// provably the sequential match set, with identical comparison counts.
+// parallel over the PRT's compiled index (PrtIndex): its buckets
+// partition entries by their discriminating symbol, and symbol_shard()
+// partitions those buckets into `shards` disjoint groups. A worker
+// matching shard k visits exactly the entries of its buckets — no locks,
+// no shared mutable state — and the union over all shards is provably
+// the whole-table match a sequential broker runs inline, with identical
+// comparison counts.
 //
 // The scheduler owns a fixed pool of worker threads and runs *epochs*: the
 // control thread (the broker's single writer) pins an immutable

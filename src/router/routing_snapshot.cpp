@@ -1,16 +1,14 @@
 #include "router/routing_snapshot.hpp"
 
-#include "match/pub_match.hpp"
-#include "util/symbols.hpp"
-
 namespace xroute {
 
 RoutingSnapshot::RoutingSnapshot(
-    std::uint64_t version, std::shared_ptr<std::atomic<std::int64_t>> gauge)
+    std::uint64_t version, std::shared_ptr<const PrtIndex> index,
+    std::shared_ptr<const Edge> edge,
+    std::shared_ptr<std::atomic<std::int64_t>> gauge)
     : version_(version),
-      side_bucket_(std::make_shared<SnapshotBucket>()),
-      clients_(std::make_shared<IfaceSet>()),
-      client_subs_(std::make_shared<std::map<IfaceId, std::vector<Xpe>>>()),
+      index_(std::move(index)),
+      edge_(std::move(edge)),
       gauge_(std::move(gauge)) {
   if (gauge_) gauge_->fetch_add(1, std::memory_order_relaxed);
 }
@@ -19,153 +17,10 @@ RoutingSnapshot::~RoutingSnapshot() {
   if (gauge_) gauge_->fetch_sub(1, std::memory_order_relaxed);
 }
 
-void RoutingSnapshot::scan_bucket(const SnapshotBucket& bucket,
-                                  const PathView& ip, Prt::ShardMatch* out) {
-  // The PR 6 kernel walk, verbatim semantics: one comparison per reached
-  // entry, failed subtrees skipped wholesale via the backpatched offsets.
-  const std::uint32_t* w = bucket.words.data();
-  const std::uint32_t* const end = w + bucket.words.size();
-  std::size_t k = 0;
-  while (w != end) {
-    const std::uint32_t n = *w++;
-    const std::uint32_t skip_words = *w++;
-    const std::uint32_t skip_entries = *w++;
-    const SnapshotBucket::Entry& entry = bucket.entries[k++];
-    ++out->comparisons;
-    if (matches_program(ip, w, n, *entry.xpe)) {
-      out->hops.insert(out->hops.end(), bucket.hops.begin() + entry.hop_begin,
-                       bucket.hops.begin() + entry.hop_end);
-      if (entry.merger) {
-        // Same backing test as the sequential broker: a merger match no
-        // merged original backs is an in-network false positive.
-        bool backed = false;
-        for (const Xpe& original : *entry.merged_from) {
-          if (matches(*ip.path, original)) {
-            backed = true;
-            break;
-          }
-        }
-        if (!backed) ++out->merger_false_matches;
-      }
-      w += n;
-    } else {
-      // The entry covers its whole subtree: nothing below can match.
-      w += n + skip_words;
-      k += skip_entries;
-    }
-  }
-}
-
-void RoutingSnapshot::match_shard(
-    const PathView& ip, std::span<const std::uint32_t> distinct_symbols,
-    std::size_t shard, std::size_t shard_count, Prt::ShardMatch* out) const {
-  if (shard == 0) scan_bucket(*side_bucket_, ip, out);
-  for (std::uint32_t sym : distinct_symbols) {
-    if (symbol_shard(sym, static_cast<std::uint32_t>(shard_count)) != shard) {
-      continue;
-    }
-    auto it = buckets_.find(sym);
-    if (it == buckets_.end()) continue;
-    scan_bucket(*it->second, ip, out);
-  }
-}
-
 SnapshotStore::SnapshotStore()
     : gauge_(std::make_shared<std::atomic<std::int64_t>>(0)),
-      current_(std::make_shared<const RoutingSnapshot>(0, gauge_)) {}
-
-std::shared_ptr<const RoutingSnapshot> SnapshotBuilder::build(
-    const Prt& prt, const IfaceSet& clients,
-    const std::map<IfaceId, std::vector<Xpe>>& client_subs, bool edge_dirty,
-    const std::shared_ptr<const RoutingSnapshot>& prev,
-    const std::shared_ptr<std::atomic<std::int64_t>>& gauge) {
-  auto next = std::make_shared<RoutingSnapshot>(prev->version() + 1, gauge);
-  ++builds_;
-
-  auto compile = [&](std::uint32_t key) {
-    auto bucket = std::make_shared<SnapshotBucket>();
-    prt.compile_snapshot_bucket(key, bucket.get());
-    ++buckets_rebuilt_;
-    return bucket;
-  };
-
-  if (prt.snapshot_all_dirty()) {
-    for (std::uint32_t key : prt.snapshot_bucket_keys()) {
-      auto bucket = compile(key);
-      if (!bucket->empty()) next->buckets_.emplace(key, std::move(bucket));
-    }
-    next->side_bucket_ = compile(SymbolTable::kNoSymbol);
-  } else {
-    // Structural sharing: start from the previous spine (shared_ptr
-    // copies, no payload copies) and recompile only the dirty keys.
-    next->buckets_ = prev->buckets_;
-    next->side_bucket_ = prev->side_bucket_;
-    // Unchanged-content reuse: dirty tracking may overshoot (it marks
-    // whole buckets for hop-only edits and for mutations that net out
-    // within one control window), so a recompile frequently reproduces
-    // the previous bucket exactly. Recompiles therefore land in the
-    // persistent scratch bucket (same warm allocation every build, no
-    // alloc/free churn) and are cloned out only on a content change:
-    // workers keep matching memory that is already in cache instead of
-    // faulting in a fresh copy per churn op, which is what makes match
-    // cost churn-independent.
-    bool bucket_changed = false;
-    auto recompile_scratch = [&](std::uint32_t key) {
-      scratch_.words.clear();
-      scratch_.entries.clear();
-      scratch_.hops.clear();
-      prt.compile_snapshot_bucket(key, &scratch_);
-      ++buckets_rebuilt_;
-    };
-    for (std::uint32_t key : prt.snapshot_dirty_keys()) {
-      recompile_scratch(key);
-      if (key == SymbolTable::kNoSymbol) {
-        if (scratch_ == *prev->side_bucket_) {
-          ++buckets_unchanged_;
-        } else {
-          next->side_bucket_ = std::make_shared<SnapshotBucket>(scratch_);
-          bucket_changed = true;
-        }
-        continue;
-      }
-      if (scratch_.empty()) {
-        bucket_changed |= next->buckets_.erase(key) > 0;
-        continue;
-      }
-      auto it = prev->buckets_.find(key);
-      if (it != prev->buckets_.end() && scratch_ == *it->second) {
-        ++buckets_unchanged_;
-      } else {
-        next->buckets_[key] = std::make_shared<SnapshotBucket>(scratch_);
-        bucket_changed = true;
-      }
-    }
-    if (!bucket_changed && !edge_dirty) {
-      // Every dirty key recompiled to its previous content and the edge
-      // state is untouched: the control ops since the last build netted
-      // out (e.g. a subscribe whose unsubscribe landed in the same
-      // window). Publishing `next` would hand workers a byte-identical
-      // snapshot behind a freshly allocated bucket map — evicting the
-      // map they already have warm — so elide the publish entirely and
-      // keep the previous snapshot current.
-      ++builds_elided_;
-      return prev;
-    }
-    buckets_shared_ += next->buckets_.size() > prt.snapshot_dirty_keys().size()
-                           ? next->buckets_.size() -
-                                 prt.snapshot_dirty_keys().size()
-                           : 0;
-  }
-
-  if (edge_dirty) {
-    next->clients_ = std::make_shared<IfaceSet>(clients);
-    next->client_subs_ =
-        std::make_shared<std::map<IfaceId, std::vector<Xpe>>>(client_subs);
-  } else {
-    next->clients_ = prev->clients_;
-    next->client_subs_ = prev->client_subs_;
-  }
-  return next;
-}
+      current_(std::make_shared<const RoutingSnapshot>(
+          0, std::make_shared<const PrtIndex>(),
+          std::make_shared<const RoutingSnapshot::Edge>(), gauge_)) {}
 
 }  // namespace xroute

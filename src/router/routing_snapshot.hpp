@@ -8,26 +8,24 @@
 // the bottleneck — each quiesce stalls matching for a full epoch.
 //
 // This module removes the barrier. The single writer (the broker's
-// control thread) compiles the match-relevant state into an immutable
-// RoutingSnapshot, publishes it into a SnapshotStore with one atomic
-// swap, and keeps mutating the live tables freely: workers never see
-// those tables at all. Each match epoch pins the current snapshot via
-// shared_ptr at staging time and matches against it with zero locks; a
-// snapshot retired by a later publish stays alive until the last pinning
-// epoch drains and drops its reference (plain shared_ptr refcounting —
-// the RCU grace period is the pointer's lifetime).
+// control thread) publishes an immutable RoutingSnapshot into a
+// SnapshotStore with one atomic swap and keeps mutating the live tables
+// freely: workers never see those tables at all. Each match epoch pins
+// the current snapshot via shared_ptr at staging time and matches against
+// it with zero locks; a snapshot retired by a later publish stays alive
+// until the last pinning epoch drains and drops its reference (plain
+// shared_ptr refcounting — the RCU grace period is the pointer's
+// lifetime).
 //
-// Structural sharing keeps the writer cheap: a snapshot is a map from
-// discriminating symbol to immutable SnapshotBucket (the compiled DFS
-// word stream of PR 6, plus the entry payloads the walk needs), and the
-// builder recompiles only the buckets whose root subtrees actually
-// changed — clean buckets are shared with the previous snapshot by
-// reference. The routing tables track the dirty bucket keys per mutation
-// (index/subscription_tree.hpp, router/routing_tables.hpp).
+// A snapshot is two shared pointers: the PRT's compiled index
+// (Prt::index(), the same immutable bucket map a sequential broker
+// matches inline, refreshed with structural sharing so only dirty
+// buckets recompile) and the edge state the forward stage reads. A
+// publish that changes only one of them shares the other.
 //
-// Single-writer invariant: build() and publish() are only ever called by
-// the broker's control thread. Readers (match workers) only ever call
-// SnapshotStore::current() / RoutingSnapshot::match_shard. The
+// Single-writer invariant: snapshots are only ever built and published
+// by the broker's control thread. Readers (match workers) only ever call
+// SnapshotStore::current() and read the pinned snapshot. The
 // publish/current pair is release/acquire, so a reader that observes a
 // snapshot pointer observes the fully built snapshot.
 #pragma once
@@ -36,119 +34,54 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "router/iface.hpp"
 #include "router/routing_tables.hpp"
-#include "xml/paths.hpp"
 #include "xpath/xpe.hpp"
 
 namespace xroute {
 
-/// One immutable compiled bucket: every subscription subtree whose root
-/// shares this bucket's discriminating symbol, serialised in DFS
-/// pre-order. `words` uses the exact RootBucket layout of the PR 6
-/// kernel — per entry [prog_len, skip_words, skip_entries, prog...] —
-/// and `entries` is parallel (entry order), carrying everything the walk
-/// needs that the live tree's Node supplied: the XPE (predicate
-/// evaluation + merger backing checks), the hop list (flattened into
-/// `hops` so a bucket is three contiguous allocations, not one per
-/// node), and the merger metadata. Flat-mode tables compile to the same
-/// layout with zero skips (every entry is a leaf).
-struct SnapshotBucket {
-  struct Entry {
-    /// Shared, not copied: the owning node/flat entry caches one
-    /// immutable copy of its XPE for its whole lifetime and every
-    /// recompile hands out that share (the payload never mutates after
-    /// subscription insert). A retired snapshot's shares keep the XPEs
-    /// of since-removed subscriptions alive.
-    std::shared_ptr<const Xpe> xpe;
-    std::uint32_t hop_begin = 0;
-    std::uint32_t hop_end = 0;
-    bool merger = false;
-    /// Non-null iff `merger`; shared like `xpe`.
-    std::shared_ptr<const std::vector<Xpe>> merged_from;
-
-    /// Pointer identity on the shared payloads — deliberately: equal
-    /// pointers mean "the same subscription, still present", which is
-    /// the question unchanged-content detection asks, at O(1) per entry
-    /// instead of a deep XPE compare.
-    friend bool operator==(const Entry&, const Entry&) = default;
-  };
-  std::vector<std::uint32_t> words;
-  std::vector<Entry> entries;
-  std::vector<IfaceId> hops;
-
-  bool empty() const { return entries.empty(); }
-
-  /// Deep equality, for the builder's unchanged-content detection: a
-  /// recompile that reproduces the previous bucket (e.g. a subscribe
-  /// whose unsubscribe landed in the same control window) keeps the old
-  /// — cache-warm — allocation instead of handing workers fresh memory.
-  friend bool operator==(const SnapshotBucket&, const SnapshotBucket&) =
-      default;
-};
-
 /// One immutable, epoch-versioned view of everything publication
-/// matching and forwarding read: the compiled PRT buckets plus the edge
+/// matching and forwarding read: the compiled PRT index plus the edge
 /// state (client set and per-client original XPEs) the forward stage's
-/// edge-exactness check consults. Snapshots never mutate after publish;
-/// sharing a bucket between versions is safe by construction.
+/// edge-exactness check consults. Snapshots never mutate after publish.
 class RoutingSnapshot {
  public:
-  using BucketPtr = std::shared_ptr<const SnapshotBucket>;
+  struct Edge {
+    IfaceSet clients;
+    std::map<IfaceId, std::vector<Xpe>> client_subs;
+  };
 
   /// `gauge` counts live snapshots (constructed minus destroyed) for the
   /// retirement tests: an unbounded chain under churn is a leak even
   /// when ASan sees every byte eventually freed.
-  RoutingSnapshot(std::uint64_t version,
+  RoutingSnapshot(std::uint64_t version, std::shared_ptr<const PrtIndex> index,
+                  std::shared_ptr<const Edge> edge,
                   std::shared_ptr<std::atomic<std::int64_t>> gauge);
   ~RoutingSnapshot();
   RoutingSnapshot(const RoutingSnapshot&) = delete;
   RoutingSnapshot& operator=(const RoutingSnapshot&) = delete;
 
   std::uint64_t version() const { return version_; }
-
-  /// Matches `ip` against shard `shard` of `shard_count`: the buckets of
-  /// the path's distinct symbols, partitioned by symbol_shard(); shard 0
-  /// additionally owns the all-wildcard side bucket. Pure read; any
-  /// number of threads may call it concurrently. Visit order, hop
-  /// emission and comparison counts are identical to the sequential
-  /// tables' (Prt::match_shard) by construction: same bucket membership,
-  /// same DFS word stream, one comparison per reached entry.
-  void match_shard(const PathView& ip,
-                   std::span<const std::uint32_t> distinct_symbols,
-                   std::size_t shard, std::size_t shard_count,
-                   Prt::ShardMatch* out) const;
+  const std::shared_ptr<const PrtIndex>& index() const { return index_; }
+  const std::shared_ptr<const Edge>& edge() const { return edge_; }
 
   /// Edge state for the deferred forward stage: with the control window
   /// pipelined into the match epoch, forwarding must read the membership
   /// as of the epoch's pin, not the live (possibly already mutated) maps.
   bool is_client(IfaceId interface_id) const {
-    return clients_->count(interface_id) > 0;
+    return edge_->clients.count(interface_id) > 0;
   }
   const std::vector<Xpe>* client_subscriptions(IfaceId interface_id) const {
-    auto it = client_subs_->find(interface_id);
-    return it == client_subs_->end() ? nullptr : &it->second;
+    auto it = edge_->client_subs.find(interface_id);
+    return it == edge_->client_subs.end() ? nullptr : &it->second;
   }
 
-  std::size_t bucket_count() const { return buckets_.size(); }
-
  private:
-  friend class SnapshotBuilder;
-
-  static void scan_bucket(const SnapshotBucket& bucket, const PathView& ip,
-                          Prt::ShardMatch* out);
-
   std::uint64_t version_;
-  std::unordered_map<std::uint32_t, BucketPtr> buckets_;
-  /// All-wildcard subscriptions (no discriminating symbol); always
-  /// non-null, possibly empty.
-  BucketPtr side_bucket_;
-  std::shared_ptr<const IfaceSet> clients_;
-  std::shared_ptr<const std::map<IfaceId, std::vector<Xpe>>> client_subs_;
+  std::shared_ptr<const PrtIndex> index_;
+  std::shared_ptr<const Edge> edge_;
   std::shared_ptr<std::atomic<std::int64_t>> gauge_;
 };
 
@@ -183,49 +116,6 @@ class SnapshotStore {
  private:
   std::shared_ptr<std::atomic<std::int64_t>> gauge_;
   std::atomic<std::shared_ptr<const RoutingSnapshot>> current_;
-};
-
-/// Compiles the next snapshot from the live tables. Control thread only.
-/// Structural sharing: buckets whose key the tables did not mark dirty
-/// since the previous build are shared by reference from `prev`; only
-/// dirty keys are recompiled (and dropped when they compiled to empty).
-/// The caller clears the tables' dirty tracking after a successful build
-/// (Broker::refresh_snapshot).
-class SnapshotBuilder {
- public:
-  /// Returns the next snapshot — or `prev` itself when every dirty
-  /// bucket recompiled to identical content and the edge state is
-  /// clean (a no-op publish would only cold-start the workers' bucket
-  /// map); callers skip the publish on pointer equality with prev.
-  std::shared_ptr<const RoutingSnapshot> build(
-      const Prt& prt, const IfaceSet& clients,
-      const std::map<IfaceId, std::vector<Xpe>>& client_subs, bool edge_dirty,
-      const std::shared_ptr<const RoutingSnapshot>& prev,
-      const std::shared_ptr<std::atomic<std::int64_t>>& gauge);
-
-  /// Cumulative structural-sharing counters (tests, bench/churn).
-  std::uint64_t buckets_rebuilt() const { return buckets_rebuilt_; }
-  std::uint64_t buckets_shared() const { return buckets_shared_; }
-  /// Dirty recompiles whose content matched the previous bucket, so the
-  /// previous allocation was kept (counted under buckets_rebuilt too).
-  std::uint64_t buckets_unchanged() const { return buckets_unchanged_; }
-  std::uint64_t builds() const { return builds_; }
-  /// Builds where every dirty bucket recompiled unchanged and the edge
-  /// state was clean: build() returned `prev` and no publish happened
-  /// (counted under builds_ too).
-  std::uint64_t builds_elided() const { return builds_elided_; }
-
- private:
-  /// Dirty recompiles land here first (capacity persists across builds,
-  /// so steady-state churn compiles into the same warm allocation); a
-  /// bucket is cloned out only when its content actually changed.
-  SnapshotBucket scratch_;
-
-  std::uint64_t buckets_rebuilt_ = 0;
-  std::uint64_t buckets_shared_ = 0;
-  std::uint64_t buckets_unchanged_ = 0;
-  std::uint64_t builds_ = 0;
-  std::uint64_t builds_elided_ = 0;
 };
 
 }  // namespace xroute

@@ -4,7 +4,6 @@
 
 #include "match/adv_match.hpp"
 #include "match/pub_match.hpp"
-#include "router/routing_snapshot.hpp"
 #include "util/symbols.hpp"
 
 namespace xroute {
@@ -52,18 +51,6 @@ bool Srt::entry_overlaps(const Entry& entry, const Xpe& xpe) const {
   if (!entry.automaton) {
     // Lazily compile; Entry is owned by unique_ptr so the address is
     // stable and the cache is per-advertisement.
-    const_cast<Entry&>(entry).automaton =
-        std::make_unique<AdvAutomaton>(entry.advertisement);
-  }
-  return entry.automaton->overlaps(xpe);
-}
-
-bool Srt::entry_overlaps_strings(const Entry& entry, const Xpe& xpe) const {
-  ++comparisons_;
-  if (entry.advertisement.non_recursive()) {
-    return nonrec_adv_overlaps(entry.advertisement.flat_elements(), xpe);
-  }
-  if (!entry.automaton) {
     const_cast<Entry&>(entry).automaton =
         std::make_unique<AdvAutomaton>(entry.advertisement);
   }
@@ -127,20 +114,8 @@ IfaceSet Srt::hops_overlapping(const Xpe& xpe) const {
   return hops;
 }
 
-IfaceSet Srt::hops_overlapping_scan(const Xpe& xpe) const {
-  IfaceSet hops;
-  for (const auto& entry : entries_) {
-    bool all_present = std::all_of(entry->hops.begin(), entry->hops.end(),
-                                   [&](IfaceId h) { return hops.count(h) > 0; });
-    if (all_present) continue;
-    if (entry_overlaps_strings(*entry, xpe)) {
-      hops.insert(entry->hops.begin(), entry->hops.end());
-    }
-  }
-  return hops;
-}
-
-Prt::Prt(bool covering, bool track_covered) : covering_(covering) {
+Prt::Prt(bool covering, bool track_covered)
+    : covering_(covering), index_(std::make_shared<const PrtIndex>()) {
   if (covering_) {
     SubscriptionTree::Options opts;
     opts.track_covered = track_covered;
@@ -160,14 +135,13 @@ Prt::InsertOutcome Prt::insert(const Xpe& xpe, IfaceId hop) {
   auto it = flat_index_.find(xpe);
   if (it != flat_index_.end()) {
     flat_[it->second].hops.insert(hop);
-    note_flat_snapshot_dirty(xpe);
+    note_flat_dirty(xpe);
     outcome.was_new = false;
     return outcome;
   }
   flat_index_.emplace(xpe, flat_.size());
   flat_.push_back(FlatEntry{xpe, {hop}});
-  flat_index_dirty_ = true;
-  note_flat_snapshot_dirty(xpe);
+  note_flat_dirty(xpe);
   outcome.was_new = true;
   return outcome;
 }
@@ -178,9 +152,11 @@ bool Prt::remove(const Xpe& xpe, IfaceId hop) {
   if (it == flat_index_.end()) return false;
   FlatEntry& entry = flat_[it->second];
   if (entry.hops.erase(hop) == 0) return false;
-  note_flat_snapshot_dirty(xpe);
+  note_flat_dirty(xpe);
   if (entry.hops.empty()) {
-    // Swap-and-pop, fixing the displaced entry's index.
+    // Swap-and-pop, fixing the displaced entry's index. The displaced
+    // entry's bucket is not marked: its compiled order goes stale, but a
+    // flat bucket is all leaves, so order moves neither hops nor counts.
     std::size_t pos = it->second;
     flat_index_.erase(it);
     if (pos + 1 != flat_.size()) {
@@ -188,109 +164,24 @@ bool Prt::remove(const Xpe& xpe, IfaceId hop) {
       flat_index_[flat_[pos].xpe] = pos;
     }
     flat_.pop_back();
-    flat_index_dirty_ = true;
   }
   return true;
 }
 
-void Prt::rebuild_flat_index() const {
-  flat_by_symbol_.clear();
-  flat_unindexed_.clear();
-  for (std::size_t pos = 0; pos < flat_.size(); ++pos) {
-    // Bucket by the deepest concrete step: a path can only match the XPE
-    // if it contains that element somewhere.
-    const std::uint32_t key = SubscriptionTree::bucket_key(flat_[pos].xpe);
-    if (key == SymbolTable::kNoSymbol) {
-      flat_unindexed_.push_back(pos);
-    } else {
-      flat_by_symbol_[key].push_back(pos);
-    }
-  }
-  flat_index_dirty_ = false;
+void Prt::note_flat_dirty(const Xpe& xpe) {
+  if (flat_all_dirty_) return;
+  flat_dirty_keys_.insert(SubscriptionTree::bucket_key(xpe));
 }
 
-void Prt::note_flat_snapshot_dirty(const Xpe& xpe) {
-  if (flat_snapshot_all_dirty_) return;
-  flat_snapshot_dirty_keys_.insert(SubscriptionTree::bucket_key(xpe));
+void Prt::match(const Path& path, ShardMatch* out) const {
+  index()->match(intern_path(path, match_symbols_), &match_distinct_, out);
+  match_comparisons_ += out->comparisons;
 }
-
-namespace {
-
-/// Candidate positions for matching `ip` in a deepest-concrete-symbol
-/// index: the side list plus the bucket of each distinct path symbol.
-/// Buckets partition the indexed entries, so no position repeats.
-std::vector<std::size_t> flat_candidates(
-    const PathView& ip,
-    const std::unordered_map<std::uint32_t, std::vector<std::size_t>>&
-        by_symbol,
-    const std::vector<std::size_t>& unindexed) {
-  std::vector<std::size_t> out(unindexed);
-  for (std::size_t i = 0; i < ip.size(); ++i) {
-    const std::uint32_t sym = ip[i];
-    if (sym == SymbolTable::kNoSymbol) continue;
-    bool seen = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (ip[j] == sym) {
-        seen = true;
-        break;
-      }
-    }
-    if (seen) continue;
-    auto it = by_symbol.find(sym);
-    if (it == by_symbol.end()) continue;
-    out.insert(out.end(), it->second.begin(), it->second.end());
-  }
-  return out;
-}
-
-}  // namespace
 
 IfaceSet Prt::match_hops(const Path& path) const {
-  if (covering_) return tree_->match_hops(path);
-  if (flat_index_dirty_) rebuild_flat_index();
-  const InternedPath ip(path);
-  IfaceSet hops;
-  for (std::size_t pos :
-       flat_candidates(ip.view(), flat_by_symbol_, flat_unindexed_)) {
-    const FlatEntry& entry = flat_[pos];
-    ++flat_comparisons_;
-    if (matches(ip, entry.xpe)) {
-      hops.insert(entry.hops.begin(), entry.hops.end());
-    }
-  }
-  return hops;
-}
-
-IfaceSet Prt::match_hops_scan(const Path& path) const {
-  if (covering_) return tree_->match_hops_scan(path);
-  IfaceSet hops;
-  for (const FlatEntry& entry : flat_) {
-    ++flat_comparisons_;
-    if (matches(path, entry.xpe)) {
-      hops.insert(entry.hops.begin(), entry.hops.end());
-    }
-  }
-  return hops;
-}
-
-std::vector<std::pair<const Xpe*, const IfaceSet*>> Prt::match_entries(
-    const Path& path) const {
-  std::vector<std::pair<const Xpe*, const IfaceSet*>> out;
-  if (covering_) {
-    for (const SubscriptionTree::Node* node : tree_->match_nodes(path)) {
-      out.emplace_back(&node->xpe, &node->hops);
-    }
-    return out;
-  }
-  if (flat_index_dirty_) rebuild_flat_index();
-  const InternedPath ip(path);
-  for (std::size_t pos :
-       flat_candidates(ip.view(), flat_by_symbol_, flat_unindexed_)) {
-    const FlatEntry& entry = flat_[pos];
-    ++flat_comparisons_;
-    if (matches(ip, entry.xpe)) out.emplace_back(&entry.xpe, &entry.hops);
-  }
-  return out;
+  ShardMatch result;
+  match(path, &result);
+  return IfaceSet(result.hops.begin(), result.hops.end());
 }
 
 std::size_t Prt::size() const {
@@ -337,116 +228,45 @@ std::vector<Xpe> Prt::top_level_xpes() const {
 }
 
 std::size_t Prt::comparisons() const {
-  return covering_ ? tree_->comparisons() : flat_comparisons_;
+  return (covering_ ? tree_->comparisons() : 0) + match_comparisons_;
 }
 
-void Prt::prepare_match() const {
-  if (covering_) {
-    tree_->ensure_root_index();
-  } else if (flat_index_dirty_) {
-    rebuild_flat_index();
-  }
+bool Prt::index_dirty() const {
+  return index_all_dirty() || !index_dirty_keys().empty();
 }
 
-void Prt::add_comparisons(std::size_t n) const {
+bool Prt::index_all_dirty() const {
+  return covering_ ? tree_->index_all_dirty() : flat_all_dirty_;
+}
+
+const std::set<std::uint32_t>& Prt::index_dirty_keys() const {
+  return covering_ ? tree_->index_dirty_keys() : flat_dirty_keys_;
+}
+
+void Prt::clear_index_dirty() const {
   if (covering_) {
-    tree_->add_comparisons(n);
+    tree_->clear_index_dirty();
   } else {
-    flat_comparisons_ += n;
+    flat_dirty_keys_.clear();
+    flat_all_dirty_ = false;
   }
 }
 
-void Prt::match_shard(const PathView& ip,
-                      std::span<const std::uint32_t> distinct_symbols,
-                      std::size_t shard, std::size_t shard_count,
-                      ShardMatch* out) const {
+void Prt::mark_index_dirty() {
   if (covering_) {
-    tree_->match_shard(
-        ip, distinct_symbols, shard, shard_count,
-        [&](const SubscriptionTree::Node& node) {
-          out->hops.insert(out->hops.end(), node.hops.begin(),
-                           node.hops.end());
-          if (node.merger) {
-            // Same backing test as the sequential broker: a merger match
-            // no merged original backs is an in-network false positive.
-            bool backed = false;
-            for (const Xpe& original : node.merged_from) {
-              if (matches(*ip.path, original)) {
-                backed = true;
-                break;
-              }
-            }
-            if (!backed) ++out->merger_false_matches;
-          }
-        },
-        &out->comparisons);
-    return;
-  }
-  // Flat mode: the deepest-symbol buckets partition the indexed entries;
-  // this shard owns the buckets of its symbols, shard 0 additionally owns
-  // the all-wildcard side list.
-  auto test = [&](std::size_t pos) {
-    const FlatEntry& entry = flat_[pos];
-    ++out->comparisons;
-    if (matches(ip, entry.xpe)) {
-      out->hops.insert(out->hops.end(), entry.hops.begin(), entry.hops.end());
-    }
-  };
-  if (shard == 0) {
-    for (std::size_t pos : flat_unindexed_) test(pos);
-  }
-  for (std::uint32_t sym : distinct_symbols) {
-    if (symbol_shard(sym, static_cast<std::uint32_t>(shard_count)) != shard) {
-      continue;
-    }
-    auto it = flat_by_symbol_.find(sym);
-    if (it == flat_by_symbol_.end()) continue;
-    for (std::size_t pos : it->second) test(pos);
-  }
-}
-
-bool Prt::snapshot_dirty() const {
-  if (covering_) {
-    return tree_->snapshot_all_dirty() ||
-           !tree_->snapshot_dirty_keys().empty();
-  }
-  return flat_snapshot_all_dirty_ || !flat_snapshot_dirty_keys_.empty();
-}
-
-bool Prt::snapshot_all_dirty() const {
-  return covering_ ? tree_->snapshot_all_dirty() : flat_snapshot_all_dirty_;
-}
-
-const std::set<std::uint32_t>& Prt::snapshot_dirty_keys() const {
-  return covering_ ? tree_->snapshot_dirty_keys() : flat_snapshot_dirty_keys_;
-}
-
-void Prt::clear_snapshot_dirty() {
-  if (covering_) {
-    tree_->clear_snapshot_dirty();
+    tree_->mark_index_dirty();
   } else {
-    flat_snapshot_dirty_keys_.clear();
-    flat_snapshot_all_dirty_ = false;
+    flat_all_dirty_ = true;
   }
 }
 
-void Prt::mark_snapshot_all_dirty() {
+void Prt::compile_bucket(std::uint32_t key, PrtBucket* out) const {
   if (covering_) {
-    tree_->mark_snapshot_all_dirty();
-  } else {
-    flat_snapshot_all_dirty_ = true;
-  }
-}
-
-void Prt::compile_snapshot_bucket(std::uint32_t key,
-                                  SnapshotBucket* out) const {
-  if (covering_) {
-    tree_->compile_snapshot_bucket(key, out);
+    tree_->compile_bucket(key, out);
     return;
   }
   // Flat entries compile to leaf-only streams (zero skips, one entry
-  // each) in position order — the exact candidate order the live flat
-  // index tests, so comparison counts stay in lockstep.
+  // each) in position order.
   for (const FlatEntry& entry : flat_) {
     if (SubscriptionTree::bucket_key(entry.xpe) != key) continue;
     const std::vector<std::uint32_t>& prog = entry.xpe.program();
@@ -454,13 +274,13 @@ void Prt::compile_snapshot_bucket(std::uint32_t key,
     out->words.push_back(0);  // skip_words: leaves have no subtree
     out->words.push_back(0);  // skip_entries
     out->words.insert(out->words.end(), prog.begin(), prog.end());
-    SnapshotBucket::Entry se;
+    PrtBucket::Entry se;
     // Plain shared_ptr for a detached control block — see the tree-path
     // equivalent in subscription_tree.cpp.
-    if (!entry.snapshot_xpe) {
-      entry.snapshot_xpe = std::shared_ptr<const Xpe>(new Xpe(entry.xpe));
+    if (!entry.shared_xpe) {
+      entry.shared_xpe = std::shared_ptr<const Xpe>(new Xpe(entry.xpe));
     }
-    se.xpe = entry.snapshot_xpe;
+    se.xpe = entry.shared_xpe;
     se.hop_begin = static_cast<std::uint32_t>(out->hops.size());
     out->hops.insert(out->hops.end(), entry.hops.begin(), entry.hops.end());
     se.hop_end = static_cast<std::uint32_t>(out->hops.size());
@@ -468,14 +288,163 @@ void Prt::compile_snapshot_bucket(std::uint32_t key,
   }
 }
 
-std::vector<std::uint32_t> Prt::snapshot_bucket_keys() const {
-  if (covering_) return tree_->snapshot_bucket_keys();
+std::vector<std::uint32_t> Prt::bucket_keys() const {
+  if (covering_) return tree_->bucket_keys();
   std::set<std::uint32_t> keys;
   for (const FlatEntry& entry : flat_) {
     const std::uint32_t key = SubscriptionTree::bucket_key(entry.xpe);
     if (key != SymbolTable::kNoSymbol) keys.insert(key);
   }
   return {keys.begin(), keys.end()};
+}
+
+const std::shared_ptr<const PrtIndex>& Prt::index() const {
+  if (!index_dirty()) return index_;
+  ++index_stats_.builds;
+  auto next = std::make_shared<PrtIndex>();
+
+  if (index_all_dirty()) {
+    for (std::uint32_t key : bucket_keys()) {
+      auto bucket = std::make_shared<PrtBucket>();
+      compile_bucket(key, bucket.get());
+      ++index_stats_.buckets_rebuilt;
+      if (!bucket->empty()) next->buckets_.emplace(key, std::move(bucket));
+    }
+    auto side = std::make_shared<PrtBucket>();
+    compile_bucket(SymbolTable::kNoSymbol, side.get());
+    ++index_stats_.buckets_rebuilt;
+    next->side_ = std::move(side);
+  } else {
+    // Structural sharing: start from the previous spine (shared_ptr
+    // copies, no payload copies) and recompile only the dirty keys.
+    next->buckets_ = index_->buckets_;
+    next->side_ = index_->side_;
+    // Unchanged-content reuse: dirty tracking may overshoot (it marks
+    // whole buckets for hop-only edits and for mutations that net out
+    // before the next match), so a recompile frequently reproduces the
+    // previous bucket exactly. Recompiles therefore land in the
+    // persistent scratch bucket (same warm allocation every refresh) and
+    // are cloned out only on a content change: matchers keep memory that
+    // is already in cache instead of faulting in a fresh copy per
+    // control op, which is what makes match cost churn-independent.
+    bool bucket_changed = false;
+    const std::set<std::uint32_t>& dirty = index_dirty_keys();
+    for (std::uint32_t key : dirty) {
+      scratch_.clear();
+      compile_bucket(key, &scratch_);
+      ++index_stats_.buckets_rebuilt;
+      if (key == SymbolTable::kNoSymbol) {
+        if (scratch_ == *index_->side_) {
+          ++index_stats_.buckets_unchanged;
+        } else {
+          next->side_ = std::make_shared<PrtBucket>(scratch_);
+          bucket_changed = true;
+        }
+        continue;
+      }
+      if (scratch_.empty()) {
+        bucket_changed |= next->buckets_.erase(key) > 0;
+        continue;
+      }
+      auto it = index_->buckets_.find(key);
+      if (it != index_->buckets_.end() && scratch_ == *it->second) {
+        ++index_stats_.buckets_unchanged;
+      } else {
+        next->buckets_[key] = std::make_shared<PrtBucket>(scratch_);
+        bucket_changed = true;
+      }
+    }
+    if (!bucket_changed) {
+      // Every dirty key recompiled to its previous content: the control
+      // ops since the last refresh netted out (e.g. a subscribe whose
+      // unsubscribe came first). Keep the previous index — a fresh map
+      // would only evict the one matchers already have warm, and pointer
+      // equality tells the parallel engine there is nothing to publish.
+      ++index_stats_.builds_elided;
+      clear_index_dirty();
+      return index_;
+    }
+    index_stats_.buckets_shared += next->buckets_.size() > dirty.size()
+                                       ? next->buckets_.size() - dirty.size()
+                                       : 0;
+  }
+  index_ = std::move(next);
+  clear_index_dirty();
+  return index_;
+}
+
+PrtIndex::PrtIndex() : side_(std::make_shared<const PrtBucket>()) {}
+
+void PrtIndex::scan_bucket(const PrtBucket& bucket, const PathView& ip,
+                           Prt::ShardMatch* out) {
+  // One comparison per reached entry; failed subtrees are skipped
+  // wholesale via the backpatched offsets.
+  const std::uint32_t* w = bucket.words.data();
+  const std::uint32_t* const end = w + bucket.words.size();
+  std::size_t k = 0;
+  while (w != end) {
+    const std::uint32_t n = *w++;
+    const std::uint32_t skip_words = *w++;
+    const std::uint32_t skip_entries = *w++;
+    const PrtBucket::Entry& entry = bucket.entries[k++];
+    ++out->comparisons;
+    if (matches_program(ip, w, n, *entry.xpe)) {
+      out->hops.insert(out->hops.end(), bucket.hops.begin() + entry.hop_begin,
+                       bucket.hops.begin() + entry.hop_end);
+      if (entry.merger) {
+        // A merger match that no merged original backs is an in-network
+        // false positive introduced by imperfect merging (paper Fig. 9).
+        bool backed = false;
+        for (const Xpe& original : *entry.merged_from) {
+          if (matches(*ip.path, original)) {
+            backed = true;
+            break;
+          }
+        }
+        if (!backed) ++out->merger_false_matches;
+      }
+      w += n;
+    } else {
+      // The entry covers its whole subtree: nothing below can match.
+      w += n + skip_words;
+      k += skip_entries;
+    }
+  }
+}
+
+void PrtIndex::match_shard(const PathView& ip,
+                           std::span<const std::uint32_t> distinct_symbols,
+                           std::size_t shard, std::size_t shard_count,
+                           Prt::ShardMatch* out) const {
+  if (shard == 0) scan_bucket(*side_, ip, out);
+  for (std::uint32_t sym : distinct_symbols) {
+    if (symbol_shard(sym, static_cast<std::uint32_t>(shard_count)) != shard) {
+      continue;
+    }
+    auto it = buckets_.find(sym);
+    if (it == buckets_.end()) continue;
+    scan_bucket(*it->second, ip, out);
+  }
+}
+
+void PrtIndex::match(const PathView& ip, std::vector<std::uint32_t>* distinct,
+                     Prt::ShardMatch* out) const {
+  distinct_symbols(ip, distinct);
+  out->clear();
+  match_shard(ip, *distinct, 0, 1, out);
+  canonicalize_hops(&out->hops);
+}
+
+void PrtIndex::distinct_symbols(const PathView& ip,
+                                std::vector<std::uint32_t>* out) {
+  out->clear();
+  for (std::size_t i = 0; i < ip.size(); ++i) {
+    const std::uint32_t sym = ip[i];
+    if (sym == SymbolTable::kNoSymbol) continue;  // element never interned
+    if (std::find(out->begin(), out->end(), sym) == out->end()) {
+      out->push_back(sym);
+    }
+  }
 }
 
 }  // namespace xroute

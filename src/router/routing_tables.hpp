@@ -10,6 +10,7 @@
 //         paper's no-covering baseline).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "router/iface.hpp"
 #include "match/adv_automaton.hpp"
 #include "match/rec_adv_match.hpp"
+#include "xml/paths.hpp"
 #include "xpath/xpe.hpp"
 
 namespace xroute {
@@ -56,21 +58,13 @@ class Srt {
   /// a wildcard-free advertisement overlapping `xpe` must contain every
   /// concrete step name of `xpe` in its alphabet, so only the bucket of
   /// the query's rarest concrete symbol (plus the wildcard side list) is
-  /// tested. Results are exactly the linear scan's.
+  /// tested. Results are exactly the linear scan's (the reference twin
+  /// lives in tests/oracles.hpp).
   IfaceSet hops_overlapping(const Xpe& xpe) const;
-
-  /// Pre-index linear-scan reference (string element comparisons over
-  /// every entry). Retained as the differential-test oracle and the
-  /// perf_routing "before" baseline; do not use on the hot path.
-  IfaceSet hops_overlapping_scan(const Xpe& xpe) const;
 
   /// Does any advertisement from `hop` overlap `xpe`? (Used to route
   /// existing subscriptions toward a newly arrived advertisement.)
   bool entry_overlaps(const Entry& entry, const Xpe& xpe) const;
-
-  /// The pre-interning implementation of entry_overlaps (string element
-  /// comparisons); reference twin for tests and the scan baseline.
-  bool entry_overlaps_strings(const Entry& entry, const Xpe& xpe) const;
 
   std::size_t size() const { return entries_.size(); }
   const std::vector<std::unique_ptr<Entry>>& entries() const {
@@ -97,8 +91,65 @@ class Srt {
   mutable bool index_dirty_ = true;
 };
 
+/// One immutable compiled bucket: every subscription subtree whose root
+/// shares this bucket's discriminating symbol (the deepest concrete step
+/// of the root's XPE), serialised in DFS pre-order into one word stream.
+/// Per entry, `words` holds [prog_len, skip_words, skip_entries,
+/// prog...]; on a failed test the walk jumps `skip_words`/`skip_entries`
+/// past the entry's whole subtree — the covering prune — so match, prune
+/// and descent are one sequential scan with forward jumps: no stack, no
+/// per-node pointer chase. `entries` is parallel (entry order) and
+/// carries what the walk needs beyond the program: the XPE (predicate
+/// evaluation, merger backing checks), the hop list (flattened into
+/// `hops`, so a bucket is three contiguous allocations) and the merger
+/// metadata. Flat tables compile to the same layout with zero skips.
+struct PrtBucket {
+  struct Entry {
+    /// Shared, not copied: the owning node/flat entry caches one
+    /// immutable copy of its XPE for its whole lifetime and every
+    /// recompile hands out that share. An index still pinned by a match
+    /// epoch keeps the XPEs of since-removed subscriptions alive.
+    std::shared_ptr<const Xpe> xpe;
+    std::uint32_t hop_begin = 0;
+    std::uint32_t hop_end = 0;
+    bool merger = false;
+    /// Non-null iff `merger`; shared like `xpe`.
+    std::shared_ptr<const std::vector<Xpe>> merged_from;
+
+    /// Pointer identity on the shared payloads — deliberately: equal
+    /// pointers mean "the same subscription, still present", which is
+    /// the question unchanged-content detection asks, at O(1) per entry
+    /// instead of a deep XPE compare.
+    friend bool operator==(const Entry&, const Entry&) = default;
+  };
+  std::vector<std::uint32_t> words;
+  std::vector<Entry> entries;
+  std::vector<IfaceId> hops;
+
+  bool empty() const { return entries.empty(); }
+  void clear() {
+    words.clear();
+    entries.clear();
+    hops.clear();
+  }
+
+  /// Deep equality, for unchanged-content detection: a recompile that
+  /// reproduces the previous bucket (e.g. a subscribe whose unsubscribe
+  /// came before the next match) keeps the old — cache-warm — allocation.
+  friend bool operator==(const PrtBucket&, const PrtBucket&) = default;
+};
+
+class PrtIndex;
+
 /// Publication routing table: subscription-tree or flat, behind one
 /// interface so the broker code is oblivious to the covering mode.
+///
+/// Matching runs against one compiled index (PrtIndex) that the table
+/// owns and refreshes lazily: mutations only mark the buckets they touch
+/// dirty, and the first match after them recompiles exactly those
+/// buckets, sharing the rest with the previous index. A burst of control
+/// ops therefore costs no compile at all until a publication needs the
+/// table.
 class Prt {
  public:
   struct InsertOutcome {
@@ -107,19 +158,57 @@ class Prt {
     std::vector<Xpe> now_covered;
   };
 
+  /// The result of one match (or one shard of it).
+  struct ShardMatch {
+    /// Matching hops, appended in visit order WITH duplicates: deferring
+    /// the dedup to one sort+unique at merge time replaces a per-node
+    /// red-black-tree insert on the hottest loop. clear() keeps the
+    /// capacity, so a reused ShardMatch allocates nothing at steady state.
+    std::vector<IfaceId> hops;
+    /// Matches against merger entries not backed by any merged original
+    /// (covering mode; the paper's in-network false positives, Fig. 9).
+    std::size_t merger_false_matches = 0;
+    /// Comparison tests performed.
+    std::size_t comparisons = 0;
+
+    void clear() {
+      hops.clear();
+      merger_false_matches = 0;
+      comparisons = 0;
+    }
+  };
+
+  /// Compile counters of the lazy index refresh (tests, bench/churn).
+  struct IndexStats {
+    /// Refreshes that found dirty buckets.
+    std::uint64_t builds = 0;
+    /// Refreshes whose every recompile reproduced the previous bucket:
+    /// the previous index was kept (counted under builds too).
+    std::uint64_t builds_elided = 0;
+    std::uint64_t buckets_rebuilt = 0;
+    /// Clean buckets carried over by reference.
+    std::uint64_t buckets_shared = 0;
+    /// Dirty recompiles whose content matched the previous bucket, so the
+    /// previous allocation was kept (counted under buckets_rebuilt too).
+    std::uint64_t buckets_unchanged = 0;
+  };
+
   explicit Prt(bool covering, bool track_covered = true);
 
   InsertOutcome insert(const Xpe& xpe, IfaceId hop);
   bool remove(const Xpe& xpe, IfaceId hop);
+
+  /// Matches `path` against index() on the calling thread: `out` is
+  /// cleared, then filled with the hops sorted ascending and
+  /// deduplicated, and the comparisons are folded into comparisons().
+  void match(const Path& path, ShardMatch* out) const;
+  /// Destination hops of every subscription matching `path`.
   IfaceSet match_hops(const Path& path) const;
-  /// Pre-index linear-scan reference (flat mode: string matcher over every
-  /// entry; covering mode: the tree's scan twin). Differential-test oracle
-  /// and perf_routing "before" baseline.
-  IfaceSet match_hops_scan(const Path& path) const;
-  /// Matching subscriptions with their hop sets (edge delivery needs both).
-  std::vector<std::pair<const Xpe*, const IfaceSet*>> match_entries(
-      const Path& path) const;
+
   std::size_t size() const;
+  /// Covering tests of the inserts plus match tests (one per compiled
+  /// entry the match reached; buckets the path cannot hit are skipped
+  /// without being counted).
   std::size_t comparisons() const;
   bool covering() const { return covering_; }
   bool contains(const Xpe& xpe) const;
@@ -131,77 +220,38 @@ class Prt {
   /// Every stored subscription with its hop set (both modes; snapshots).
   std::vector<std::pair<Xpe, IfaceSet>> entries_with_hops() const;
 
-  // -- Parallel matching support (router/match_scheduler.hpp) --------------
+  /// The compiled index, brought up to date first. Returns the previous
+  /// index itself when nothing is dirty or every dirty bucket recompiled
+  /// to its previous content, so pointer equality means "unchanged".
+  /// Never call concurrently with a mutation or another match; the
+  /// index itself is immutable, so a copy of the pointer is safe to share
+  /// with any thread.
+  const std::shared_ptr<const PrtIndex>& index() const;
+  const IndexStats& index_stats() const { return index_stats_; }
 
-  /// Forces the lazy match indexes now. Must run on the control thread
-  /// before a parallel match epoch: the shard matchers are pure reads and
-  /// never rebuild.
-  void prepare_match() const;
-
-  /// Per-shard slice of one publication match. The shards partition the
-  /// table (tree roots or flat entries) by symbol_shard() of each entry's
-  /// discriminating symbol, so the union over all shards equals the
-  /// sequential result exactly — hops, merger false-positive count and
-  /// comparison count alike.
-  struct ShardMatch {
-    /// Matching hops, appended in visit order WITH duplicates: deferring
-    /// the dedup to one sort+unique at merge time replaces a per-node
-    /// red-black-tree insert on the hottest worker loop. clear() keeps the
-    /// capacity, so a reused ShardMatch allocates nothing at steady state.
-    std::vector<IfaceId> hops;
-    /// Matches against merger entries not backed by any merged original
-    /// (covering mode; the paper's in-network false positives, Fig. 9).
-    std::size_t merger_false_matches = 0;
-    /// Comparison tests performed; fold back via add_comparisons().
-    std::size_t comparisons = 0;
-
-    void clear() {
-      hops.clear();
-      merger_false_matches = 0;
-      comparisons = 0;
-    }
-  };
-
-  /// Matches `ip` against shard `shard` of `shard_count`. Thread-safe pure
-  /// read after prepare_match(), provided no mutation overlaps the epoch.
-  /// `distinct_symbols` is the deduplicated symbol list of the path.
-  /// Appends into `out` (call out->clear() first to reuse its storage).
-  void match_shard(const PathView& ip,
-                   std::span<const std::uint32_t> distinct_symbols,
-                   std::size_t shard, std::size_t shard_count,
-                   ShardMatch* out) const;
-
-  /// Folds worker-local comparison counts back into comparisons().
-  /// Control thread only (between epochs).
-  void add_comparisons(std::size_t n) const;
+  /// Folds comparisons counted elsewhere (the parallel engine's workers)
+  /// into comparisons().
+  void add_comparisons(std::size_t n) const { match_comparisons_ += n; }
 
   /// Covering mode only: the underlying tree (merging runs on it).
   SubscriptionTree* tree() { return tree_.get(); }
   const SubscriptionTree* tree() const { return tree_.get(); }
 
-  // -- Snapshot compile support (router/routing_snapshot.hpp) --------------
-  //
-  // The table tracks which snapshot buckets its mutations touched since
-  // the last clear, so the SnapshotBuilder recompiles only those and
-  // structurally shares the rest. Covering mode delegates to the tree;
-  // flat mode tracks its own key set here.
-
-  /// Any mutation since clear_snapshot_dirty()?
-  bool snapshot_dirty() const;
-  bool snapshot_all_dirty() const;
-  const std::set<std::uint32_t>& snapshot_dirty_keys() const;
-  void clear_snapshot_dirty();
-  void mark_snapshot_all_dirty();
-  /// Compiles bucket `key` (SymbolTable::kNoSymbol = the all-wildcard
-  /// side bucket) from the live table, preserving the candidate order the
-  /// live index would test (determinism contract).
-  void compile_snapshot_bucket(std::uint32_t key, SnapshotBucket* out) const;
-  /// Distinct non-side bucket keys currently present (full rebuilds).
-  std::vector<std::uint32_t> snapshot_bucket_keys() const;
+  /// Forces the next refresh to recompile every bucket (after node
+  /// surgery that bypasses the tables' dirty tracking).
+  void mark_index_dirty();
 
  private:
-  void rebuild_flat_index() const;
-  void note_flat_snapshot_dirty(const Xpe& xpe);
+  bool index_dirty() const;
+  const std::set<std::uint32_t>& index_dirty_keys() const;
+  bool index_all_dirty() const;
+  void clear_index_dirty() const;
+  /// Compiles bucket `key` (SymbolTable::kNoSymbol = the all-wildcard
+  /// side bucket) from the live table.
+  void compile_bucket(std::uint32_t key, PrtBucket* out) const;
+  /// Distinct non-side bucket keys currently present (full rebuilds).
+  std::vector<std::uint32_t> bucket_keys() const;
+  void note_flat_dirty(const Xpe& xpe);
 
   bool covering_;
   std::unique_ptr<SubscriptionTree> tree_;  // covering mode
@@ -209,27 +259,80 @@ class Prt {
   struct FlatEntry {
     Xpe xpe;
     IfaceSet hops;
-    /// Lazily created immutable share for snapshot compilation (see
-    /// SubscriptionTree::Node::snapshot_xpe); `xpe` never mutates after
+    /// Lazily created immutable share for compilation (see
+    /// SubscriptionTree::Node::shared_xpe); `xpe` never mutates after
     /// the entry is created.
-    mutable std::shared_ptr<const Xpe> snapshot_xpe;
+    mutable std::shared_ptr<const Xpe> shared_xpe;
   };
   std::vector<FlatEntry> flat_;
   std::unordered_map<Xpe, std::size_t, XpeHash> flat_index_;
-  mutable std::size_t flat_comparisons_ = 0;
+  /// Flat-mode dirty bucket keys (covering mode: the tree's own). Starts
+  /// all-dirty so the first refresh is a full compile.
+  mutable std::set<std::uint32_t> flat_dirty_keys_;
+  mutable bool flat_all_dirty_ = true;
 
-  // Flat-mode symbol index (mirror of the subscription tree's root index):
-  // each entry is bucketed by position under its XPE's deepest concrete
-  // step symbol; all-wildcard XPEs stay in the always-tested side list.
-  // Rebuilt lazily after insert/remove (swap-and-pop moves positions).
-  mutable std::unordered_map<std::uint32_t, std::vector<std::size_t>>
-      flat_by_symbol_;
-  mutable std::vector<std::size_t> flat_unindexed_;
-  mutable bool flat_index_dirty_ = true;
+  mutable std::size_t match_comparisons_ = 0;
+  mutable std::shared_ptr<const PrtIndex> index_;
+  mutable IndexStats index_stats_;
+  /// Dirty recompiles land here first (capacity persists across
+  /// refreshes, so steady-state churn compiles into the same warm
+  /// allocation); a bucket is cloned out only when its content changed.
+  mutable PrtBucket scratch_;
+  /// match() scratch: interned symbols and the distinct-symbol list.
+  mutable std::vector<std::uint32_t> match_symbols_;
+  mutable std::vector<std::uint32_t> match_distinct_;
+};
 
-  // Flat-mode snapshot dirty tracking (covering mode: the tree's own).
-  std::set<std::uint32_t> flat_snapshot_dirty_keys_;
-  bool flat_snapshot_all_dirty_ = true;
+/// The compiled PRT: an immutable map from discriminating symbol to
+/// bucket, plus the side bucket of all-wildcard subscriptions. Built only
+/// by Prt::index(); never mutated after that, so buckets are shared
+/// between successive indexes and any number of threads may match
+/// against one concurrently.
+class PrtIndex {
+ public:
+  using BucketPtr = std::shared_ptr<const PrtBucket>;
+
+  PrtIndex();
+
+  /// Matches `ip` against shard `shard` of `shard_count`: the buckets of
+  /// the path's distinct symbols, partitioned by symbol_shard(); shard 0
+  /// additionally owns the side bucket. Visits the side bucket first,
+  /// then the buckets in first-occurrence order of the path's symbols;
+  /// one comparison per reached entry. Appends into `out`.
+  void match_shard(const PathView& ip,
+                   std::span<const std::uint32_t> distinct_symbols,
+                   std::size_t shard, std::size_t shard_count,
+                   Prt::ShardMatch* out) const;
+
+  /// Whole-table match (shard 0 of 1): clears `out`, fills it and sorts
+  /// and deduplicates its hops. `distinct` is caller scratch.
+  void match(const PathView& ip, std::vector<std::uint32_t>* distinct,
+             Prt::ShardMatch* out) const;
+
+  /// Deduplicated symbol list of `ip` in first-occurrence order (elements
+  /// no XPE ever interned are dropped: no bucket can hold them).
+  static void distinct_symbols(const PathView& ip,
+                               std::vector<std::uint32_t>* out);
+  /// Sort + dedup a concatenated hop list into ascending order.
+  static void canonicalize_hops(std::vector<IfaceId>* hops) {
+    std::sort(hops->begin(), hops->end());
+    hops->erase(std::unique(hops->begin(), hops->end()), hops->end());
+  }
+
+  std::size_t bucket_count() const { return buckets_.size(); }
+
+ private:
+  friend class Prt;
+
+  /// The match kernel: walks one compiled bucket, visiting every entry
+  /// whose XPE matches `ip` and skipping failed subtrees wholesale.
+  static void scan_bucket(const PrtBucket& bucket, const PathView& ip,
+                          Prt::ShardMatch* out);
+
+  std::unordered_map<std::uint32_t, BucketPtr> buckets_;
+  /// All-wildcard subscriptions (no discriminating symbol); always
+  /// non-null, possibly empty.
+  BucketPtr side_;
 };
 
 }  // namespace xroute

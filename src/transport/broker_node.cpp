@@ -292,8 +292,7 @@ void TransportBroker::on_frame(Connection* connection, wire::Decoded&& decoded) 
 
   // The decoded frame's raw bytes ride along for publications so the
   // broker's forward stage can resend them verbatim (no per-hop encode).
-  const bool keep_frame = options_.config.streaming_pipeline &&
-                          decoded.message.type() == MessageType::kPublish;
+  const bool keep_frame = decoded.message.type() == MessageType::kPublish;
   if (async()) {
     InboundEvent event{InboundEvent::Kind::kFrame,
                        IfaceId{peer.interface_id},

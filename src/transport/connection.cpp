@@ -1,6 +1,7 @@
 #include "transport/connection.hpp"
 
 #include <errno.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <utility>
@@ -91,8 +92,11 @@ void Connection::handle_writable() {
   bool had_pending = !send_queue_.empty();
   while (!send_queue_.empty()) {
     const Outgoing& head = send_queue_.front();
-    ssize_t n = ::write(fd_, head.data() + send_offset_,
-                        head.size() - send_offset_);
+    // MSG_NOSIGNAL: a peer that closed with frames still queued must
+    // surface as EPIPE (the "write error" close below), not as a SIGPIPE
+    // that kills the process.
+    ssize_t n = ::send(fd_, head.data() + send_offset_,
+                       head.size() - send_offset_, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;

@@ -321,7 +321,7 @@ TEST(ChurnScheduler, ComparisonCountsStayInLockstepUnderChurn) {
   EXPECT_EQ(parallel.comparisons(), sequential.comparisons());
   // Churn means the snapshot store actually turned over.
   EXPECT_GT(parallel.snapshot_store().version(), 1u);
-  EXPECT_GT(parallel.snapshot_builder().builds(), 1u);
+  EXPECT_GT(parallel.prt().index_stats().builds, 1u);
 }
 
 // Control ops must complete while a batch epoch is in flight: a batch

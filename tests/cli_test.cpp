@@ -64,6 +64,17 @@ TEST(XroutectlCli, MissingArgumentsPrintUsageAndExitTwo) {
   }
 }
 
+// Unknown flags (the removed `--tree` included) fail before any socket
+// opens, instead of being read as a file name after earlier documents
+// were already published.
+TEST(XroutectlCli, PubRejectsUnknownFlags) {
+  CliResult result = run_cli("pub 127.0.0.1 1 doc.xml --tree");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_NE(result.output.find("pub: unknown flag '--tree'"),
+            std::string::npos);
+  EXPECT_NE(result.output.find("usage: xroutectl"), std::string::npos);
+}
+
 TEST(XroutectlCli, HelpExitsZero) {
   CliResult result = run_cli("help");
   EXPECT_EQ(result.exit_code, 0);

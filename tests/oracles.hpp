@@ -5,13 +5,28 @@
 // length the quantification is exhaustively checkable, giving ground truth
 // against which the paper's PTIME algorithms are verified (soundness
 // everywhere; exactness where claimed).
+//
+// The file also holds the reference twins of the routing tables' indexed
+// lookups (linear scans with the string matchers): the differential
+// oracles for the PRT's compiled index and the SRT's symbol index, and the
+// "before" baselines of bench/perf_routing.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adv/advertisement.hpp"
+#include "index/subscription_tree.hpp"
+#include "match/adv_automaton.hpp"
+#include "match/adv_match.hpp"
 #include "match/pub_match.hpp"
+#include "router/iface.hpp"
+#include "router/routing_tables.hpp"
 #include "util/rng.hpp"
 #include "xml/paths.hpp"
 #include "xpath/xpe.hpp"
@@ -130,6 +145,109 @@ inline Advertisement random_flat_adv(Rng& rng,
 inline const std::vector<std::string>& small_alphabet() {
   static const std::vector<std::string> alphabet{"a", "b", "c"};
   return alphabet;
+}
+
+// -- Reference twins of the routing tables' indexed lookups ---------------
+//
+// Each counts one comparison per test into `*comparisons` when given, the
+// way the tables count their own.
+
+/// Covering-pruned DFS over every root of `tree` with the string matcher:
+/// a node the path does not match covers nothing that matches, so its
+/// subtree is skipped. The compiled PRT index must select exactly these
+/// nodes (in whatever order).
+inline std::vector<const SubscriptionTree::Node*> match_nodes_scan(
+    const SubscriptionTree& tree, const Path& path,
+    std::size_t* comparisons = nullptr) {
+  std::vector<const SubscriptionTree::Node*> out;
+  std::vector<const SubscriptionTree::Node*> stack;
+  for (const auto& child : tree.root()->children) stack.push_back(child.get());
+  while (!stack.empty()) {
+    const SubscriptionTree::Node* node = stack.back();
+    stack.pop_back();
+    if (comparisons) ++*comparisons;
+    if (!matches(path, node->xpe)) continue;
+    out.push_back(node);
+    for (const auto& child : node->children) stack.push_back(child.get());
+  }
+  return out;
+}
+
+inline IfaceSet match_hops_scan(const SubscriptionTree& tree,
+                                const Path& path,
+                                std::size_t* comparisons = nullptr) {
+  IfaceSet hops;
+  for (const SubscriptionTree::Node* node :
+       match_nodes_scan(tree, path, comparisons)) {
+    hops.insert(node->hops.begin(), node->hops.end());
+  }
+  return hops;
+}
+
+/// Flat-table twin: the string matcher over every entry (e.g. a snapshot
+/// of Prt::entries_with_hops(), taken once outside a timed loop).
+inline IfaceSet match_hops_scan(
+    const std::vector<std::pair<Xpe, IfaceSet>>& entries, const Path& path,
+    std::size_t* comparisons = nullptr) {
+  IfaceSet hops;
+  for (const auto& [xpe, entry_hops] : entries) {
+    if (comparisons) ++*comparisons;
+    if (matches(path, xpe)) hops.insert(entry_hops.begin(), entry_hops.end());
+  }
+  return hops;
+}
+
+/// Either PRT form: the tree scan in covering mode, every entry otherwise.
+inline IfaceSet match_hops_scan(const Prt& prt, const Path& path,
+                                std::size_t* comparisons = nullptr) {
+  return prt.covering() ? match_hops_scan(*prt.tree(), path, comparisons)
+                        : match_hops_scan(prt.entries_with_hops(), path,
+                                          comparisons);
+}
+
+/// The compiled index's uncollapsed match for `path`: every matching entry
+/// contributes its hops once, so comparing against the scans' per-entry
+/// hops is an entry-level differential, not just a hop-set one.
+inline std::multiset<IfaceId> uncollapsed_hops(const Prt& prt,
+                                               const Path& path) {
+  const InternedPath ip(path);
+  std::vector<std::uint32_t> distinct;
+  PrtIndex::distinct_symbols(ip.view(), &distinct);
+  Prt::ShardMatch match;
+  prt.index()->match_shard(ip.view(), distinct, 0, 1, &match);
+  return {match.hops.begin(), match.hops.end()};
+}
+
+/// Srt::entry_overlaps with the pre-interning string element comparisons.
+/// Compiles a recursive advertisement's automaton into the entry's cache
+/// on first use, exactly as the table itself does.
+inline bool entry_overlaps_strings(const Srt::Entry& entry, const Xpe& xpe,
+                                   std::size_t* comparisons = nullptr) {
+  if (comparisons) ++*comparisons;
+  if (entry.advertisement.non_recursive()) {
+    return nonrec_adv_overlaps(entry.advertisement.flat_elements(), xpe);
+  }
+  if (!entry.automaton) {
+    const_cast<Srt::Entry&>(entry).automaton =
+        std::make_unique<AdvAutomaton>(entry.advertisement);
+  }
+  return entry.automaton->overlaps(xpe);
+}
+
+/// Srt::hops_overlapping without the symbol index: every entry is tested
+/// unless all its hops are already selected.
+inline IfaceSet hops_overlapping_scan(const Srt& srt, const Xpe& xpe,
+                                      std::size_t* comparisons = nullptr) {
+  IfaceSet hops;
+  for (const auto& entry : srt.entries()) {
+    bool all_present = true;
+    for (IfaceId h : entry->hops) all_present = all_present && hops.count(h);
+    if (all_present) continue;
+    if (entry_overlaps_strings(*entry, xpe, comparisons)) {
+      hops.insert(entry->hops.begin(), entry->hops.end());
+    }
+  }
+  return hops;
 }
 
 }  // namespace xroute::testing

@@ -313,17 +313,17 @@ TEST(ParallelOptions, InvalidCombinationsAreRejected) {
 
 TEST(ParallelOptions, ApplyBrokerOptionParsesEveryKnob) {
   BrokerOptions options;
-  EXPECT_EQ(apply_broker_option(options, "threads", "4"), "");
-  EXPECT_EQ(apply_broker_option(options, "shards", "16"), "");
-  EXPECT_EQ(apply_broker_option(options, "covering", "off"), "");
-  EXPECT_EQ(apply_broker_option(options, "advertisements=on"), "");
+  EXPECT_EQ(options.parse_option("threads", "4"), "");
+  EXPECT_EQ(options.parse_option("shards", "16"), "");
+  EXPECT_EQ(options.parse_option("covering", "off"), "");
+  EXPECT_EQ(options.parse_option("advertisements=on"), "");
   EXPECT_EQ(options.match_threads, 4u);
   EXPECT_EQ(options.shard_count, 16u);
   EXPECT_FALSE(options.use_covering);
   EXPECT_TRUE(options.use_advertisements);
-  EXPECT_NE(apply_broker_option(options, "threads", "zero"), "");
-  EXPECT_NE(apply_broker_option(options, "bogus", "1"), "");
-  EXPECT_NE(apply_broker_option(options, "no-equals-sign"), "");
+  EXPECT_NE(options.parse_option("threads", "zero"), "");
+  EXPECT_NE(options.parse_option("bogus", "1"), "");
+  EXPECT_NE(options.parse_option("no-equals-sign"), "");
 }
 
 // A moved-from broker is dead, and the moved-to broker's scheduler must

@@ -189,20 +189,23 @@ class TreeProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TreeProperty, MatchingEqualsFlatScanUnderChurn) {
   Rng rng(GetParam());
-  SubscriptionTree tree;
+  // Inserted and matched through the PRT, so every step matches against
+  // an index refreshed incrementally after the previous step's mutation.
+  Prt prt(/*covering=*/true);
+  const SubscriptionTree& tree = *prt.tree();
   std::vector<std::pair<Xpe, IfaceId>> reference;  // flat mirror
 
   for (int step = 0; step < 300; ++step) {
     if (!reference.empty() && rng.chance(0.3)) {
       // Remove a random (xpe, hop).
       std::size_t victim = rng.index(reference.size());
-      EXPECT_TRUE(tree.remove(reference[victim].first,
-                              reference[victim].second));
+      EXPECT_TRUE(prt.remove(reference[victim].first,
+                             reference[victim].second));
       reference.erase(reference.begin() + static_cast<long>(victim));
     } else {
       Xpe s = random_xpe(rng, small_alphabet(), 4);
       IfaceId hop{rng.uniform_int(0, 3)};
-      tree.insert(s, hop);
+      prt.insert(s, hop);
       // Mirror: avoid duplicate (xpe, hop) pairs.
       bool present = false;
       for (auto& [x, h] : reference) {
@@ -218,13 +221,13 @@ TEST_P(TreeProperty, MatchingEqualsFlatScanUnderChurn) {
     for (const auto& [x, h] : reference) {
       if (matches(p, x)) expected.insert(h);
     }
-    ASSERT_EQ(tree.match_hops(p), expected)
+    ASSERT_EQ(prt.match_hops(p), expected)
         << "path " << p.to_string() << " step " << step;
   }
 
   // Drain everything; the tree must empty out.
   for (auto& [x, h] : reference) {
-    EXPECT_TRUE(tree.remove(x, h));
+    EXPECT_TRUE(prt.remove(x, h));
   }
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.validate(), "");
@@ -358,11 +361,12 @@ TEST_P(MergeSoundnessProperty, AppliedMergersNeverLoseDeliveries) {
   xopts.descendant_prob = 0.1;
   auto xpes = generate_xpaths(dtd, xopts);
 
-  SubscriptionTree tree;
+  Prt prt(/*covering=*/true);
+  SubscriptionTree& tree = *prt.tree();
   std::vector<std::pair<Xpe, IfaceId>> reference;
   for (std::size_t i = 0; i < xpes.size(); ++i) {
     IfaceId hop{static_cast<int>(i % 5)};
-    tree.insert(xpes[i], hop);
+    prt.insert(xpes[i], hop);
     reference.emplace_back(xpes[i], hop);
   }
 
@@ -380,7 +384,7 @@ TEST_P(MergeSoundnessProperty, AppliedMergersNeverLoseDeliveries) {
     for (const auto& [xpe, hop] : reference) {
       if (matches(p, xpe)) expected.insert(hop);
     }
-    IfaceSet got = tree.match_hops(p);
+    IfaceSet got = prt.match_hops(p);
     for (IfaceId hop : expected) {
       ASSERT_TRUE(got.count(hop))
           << "hop " << hop << " lost for " << p.to_string() << " after "

@@ -10,6 +10,7 @@
 #include "adv/derive.hpp"
 #include "dtd/parser.hpp"
 #include "match/pub_match.hpp"
+#include "oracles.hpp"
 #include "router/broker.hpp"
 #include "util/rng.hpp"
 #include "workload/dtd_corpus.hpp"
@@ -377,7 +378,8 @@ TEST(SrtIndex, HopsOverlappingEqualsScanOnRandomWorkload) {
       srt.remove(derived.advertisements[i], IfaceId{static_cast<int>(i % 8)});
     }
     for (const Xpe& q : queries) {
-      EXPECT_EQ(srt.hops_overlapping(q), srt.hops_overlapping_scan(q))
+      EXPECT_EQ(srt.hops_overlapping(q),
+                testing::hops_overlapping_scan(srt, q))
           << "query " << q.to_string() << " seed " << seed;
     }
   }
@@ -409,17 +411,16 @@ TEST(PrtFlatIndex, MatchHopsEqualsScanOnRandomWorkload) {
       if (i % 3 == 2) prt.remove(xpes[i - 1], IfaceId{static_cast<int>((i - 1) % 16)});
     }
     for (const Path& p : probes) {
-      EXPECT_EQ(prt.match_hops(p), prt.match_hops_scan(p))
+      EXPECT_EQ(prt.match_hops(p), testing::match_hops_scan(prt, p))
           << "path " << p.to_string() << " seed " << seed;
-      // match_entries must select exactly the scan's subscriptions.
-      std::multiset<std::string> via_entries, via_scan;
-      for (const auto& [xpe, hops] : prt.match_entries(p)) {
-        via_entries.insert(xpe->to_string());
+      // The index must select exactly the scan's subscriptions: each
+      // matching entry contributes its hops once.
+      std::multiset<IfaceId> via_scan;
+      for (const auto& [xpe, hops] : prt.entries_with_hops()) {
+        if (matches(p, xpe)) via_scan.insert(hops.begin(), hops.end());
       }
-      for (const Xpe& xpe : prt.all_xpes()) {
-        if (matches(p, xpe)) via_scan.insert(xpe.to_string());
-      }
-      EXPECT_EQ(via_entries, via_scan) << "path " << p.to_string();
+      EXPECT_EQ(testing::uncollapsed_hops(prt, p), via_scan)
+          << "path " << p.to_string();
     }
   }
 }

@@ -2,18 +2,16 @@
 // (router/routing_snapshot.hpp): a pinned snapshot must outlive its
 // replacement (no use-after-free under ASan), publish/current must hand
 // readers fully built snapshots, retirement must actually free the
-// chain (the live gauge stays bounded under churn), and the builder's
-// structural sharing must recompile only dirty buckets.
+// chain (the live gauge stays bounded under churn), and a parallel
+// broker must copy its edge state only when it changed. The index
+// refresh's structural sharing is pinned in prt_index_test.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "router/broker.hpp"
-#include "util/symbols.hpp"
 #include "router/match_scheduler.hpp"
 #include "router/routing_snapshot.hpp"
 #include "router/routing_tables.hpp"
@@ -27,26 +25,13 @@ struct DiscardSink : ForwardSink {
   void on_event(const DeliveryEvent&) override {}
 };
 
-/// First-occurrence deduplicated symbol list, as the scheduler stages it.
-std::vector<std::uint32_t> distinct_symbols(const InternedPath& ip) {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t sym : ip.symbols) {
-    if (sym == SymbolTable::kNoSymbol) continue;
-    if (std::find(out.begin(), out.end(), sym) == out.end()) {
-      out.push_back(sym);
-    }
-  }
-  return out;
-}
-
-std::shared_ptr<const RoutingSnapshot> rebuild(
-    SnapshotBuilder& builder, SnapshotStore& store, Prt& prt,
-    const IfaceSet& clients,
-    const std::map<IfaceId, std::vector<Xpe>>& client_subs,
-    bool edge_dirty = false) {
-  auto next = builder.build(prt, clients, client_subs, edge_dirty,
-                            store.current(), store.gauge());
-  prt.clear_snapshot_dirty();
+/// Publishes the next snapshot of `prt` the way a parallel broker does:
+/// the refreshed index, the previous edge state.
+std::shared_ptr<const RoutingSnapshot> publish(SnapshotStore& store,
+                                               const Prt& prt) {
+  auto next = std::make_shared<const RoutingSnapshot>(
+      store.version() + 1, prt.index(), store.current()->edge(),
+      store.gauge());
   store.publish(next);
   return next;
 }
@@ -55,19 +40,16 @@ TEST(SnapshotStore, StartsWithAnEmptyVersionZeroSnapshot) {
   SnapshotStore store;
   ASSERT_NE(store.current(), nullptr);
   EXPECT_EQ(store.version(), 0u);
-  EXPECT_EQ(store.current()->bucket_count(), 0u);
+  EXPECT_EQ(store.current()->index()->bucket_count(), 0u);
   EXPECT_EQ(store.live(), 1);
 }
 
 TEST(SnapshotStore, PinKeepsARetiredSnapshotAlive) {
   SnapshotStore store;
-  SnapshotBuilder builder;
   Prt prt(/*covering=*/true);
-  IfaceSet clients;
-  std::map<IfaceId, std::vector<Xpe>> client_subs;
 
   prt.insert(parse_xpe("/news/article"), IfaceId{1});
-  rebuild(builder, store, prt, clients, client_subs);
+  publish(store, prt);
   EXPECT_EQ(store.version(), 1u);
   // v0 was dropped when v1 replaced it.
   EXPECT_EQ(store.live(), 1);
@@ -75,9 +57,9 @@ TEST(SnapshotStore, PinKeepsARetiredSnapshotAlive) {
   // Pin v1 the way a match epoch does, then retire it twice over.
   std::shared_ptr<const RoutingSnapshot> pinned = store.current();
   prt.insert(parse_xpe("/news/sports"), IfaceId{2});
-  rebuild(builder, store, prt, clients, client_subs);
+  publish(store, prt);
   prt.insert(parse_xpe("/news/weather"), IfaceId{3});
-  rebuild(builder, store, prt, clients, client_subs);
+  publish(store, prt);
 
   EXPECT_EQ(store.version(), 3u);
   EXPECT_EQ(pinned->version(), 1u);
@@ -87,9 +69,9 @@ TEST(SnapshotStore, PinKeepsARetiredSnapshotAlive) {
   // use-after-free here if retirement were eager).
   Path path = parse_path("/news/article");
   InternedPath ip(path);
-  std::vector<std::uint32_t> symbols = distinct_symbols(ip);
+  std::vector<std::uint32_t> symbols;
   Prt::ShardMatch match;
-  pinned->match_shard(ip.view(), symbols, 0, 1, &match);
+  pinned->index()->match(ip.view(), &symbols, &match);
   ASSERT_EQ(match.hops.size(), 1u);
   EXPECT_EQ(match.hops[0], IfaceId{1});
 
@@ -99,15 +81,12 @@ TEST(SnapshotStore, PinKeepsARetiredSnapshotAlive) {
 
 TEST(SnapshotStore, RetirementFreesTheChainUnderChurn) {
   SnapshotStore store;
-  SnapshotBuilder builder;
   Prt prt(/*covering=*/true);
-  IfaceSet clients;
-  std::map<IfaceId, std::vector<Xpe>> client_subs;
 
   for (int i = 0; i < 100; ++i) {
     Xpe xpe = parse_xpe("/news/item" + std::to_string(i));
     prt.insert(xpe, IfaceId{1});
-    rebuild(builder, store, prt, clients, client_subs);
+    publish(store, prt);
     // No pins: at most the current snapshot and the one being replaced
     // may coexist for an instant; a growing chain would be a leak.
     ASSERT_LE(store.live(), 2) << "after publish " << i;
@@ -116,108 +95,12 @@ TEST(SnapshotStore, RetirementFreesTheChainUnderChurn) {
   EXPECT_EQ(store.live(), 1);
 }
 
-TEST(SnapshotBuilder, RecompilesOnlyDirtyBuckets) {
-  SnapshotStore store;
-  SnapshotBuilder builder;
-  Prt prt(/*covering=*/true);
-  IfaceSet clients;
-  std::map<IfaceId, std::vector<Xpe>> client_subs;
-
-  // Distinct roots => distinct discriminating-symbol buckets.
-  prt.insert(parse_xpe("/news/article"), IfaceId{1});
-  prt.insert(parse_xpe("/sports/score"), IfaceId{1});
-  prt.insert(parse_xpe("/weather/report"), IfaceId{1});
-  rebuild(builder, store, prt, clients, client_subs);
-  const std::uint64_t rebuilt_initial = builder.buckets_rebuilt();
-  ASSERT_GE(store.current()->bucket_count(), 3u);
-
-  // Touch one bucket; the other buckets must be shared, not recompiled.
-  prt.insert(parse_xpe("/news/article/body"), IfaceId{2});
-  std::shared_ptr<const RoutingSnapshot> prev = store.current();
-  rebuild(builder, store, prt, clients, client_subs);
-  EXPECT_EQ(builder.buckets_rebuilt() - rebuilt_initial, 1u);
-  EXPECT_GE(builder.buckets_shared(), 2u);
-  EXPECT_EQ(store.current()->bucket_count(), prev->bucket_count());
-
-  // A clean rebuild request (nothing dirty, edge clean) still produces a
-  // well-formed next version sharing every bucket.
-  const std::uint64_t rebuilt_before = builder.buckets_rebuilt();
-  rebuild(builder, store, prt, clients, client_subs);
-  EXPECT_EQ(builder.buckets_rebuilt(), rebuilt_before);
-}
-
-// A control window that nets out — a subscribe whose unsubscribe landed
-// before the next build — recompiles every dirty bucket back to its
-// previous content. build() must return the previous snapshot itself
-// (callers skip the publish on pointer equality), so workers keep their
-// warm bucket map instead of faulting in a byte-identical copy.
-TEST(SnapshotBuilder, NettedOutChurnElidesThePublish) {
-  SnapshotStore store;
-  SnapshotBuilder builder;
-  Prt prt(/*covering=*/true);
-  IfaceSet clients;
-  std::map<IfaceId, std::vector<Xpe>> client_subs;
-
-  prt.insert(parse_xpe("/news/article"), IfaceId{1});
-  prt.insert(parse_xpe("/sports/score"), IfaceId{1});
-  rebuild(builder, store, prt, clients, client_subs);
-  std::shared_ptr<const RoutingSnapshot> prev = store.current();
-
-  // Net-zero churn since the last build, including a capture: the
-  // newcomer covers /news/article, moves it below itself, and the
-  // removal splices it back into its original position.
-  prt.insert(parse_xpe("/news"), IfaceId{2});
-  prt.remove(parse_xpe("/news"), IfaceId{2});
-  ASSERT_TRUE(prt.snapshot_dirty());
-  const std::uint64_t elided_before = builder.builds_elided();
-  auto next = builder.build(prt, clients, client_subs, /*edge_dirty=*/false,
-                            store.current(), store.gauge());
-  prt.clear_snapshot_dirty();
-  EXPECT_EQ(next, prev);
-  EXPECT_EQ(builder.builds_elided(), elided_before + 1);
-
-  // A change that does not net out still publishes a fresh version.
-  prt.insert(parse_xpe("/weather/report"), IfaceId{2});
-  next = builder.build(prt, clients, client_subs, /*edge_dirty=*/false,
-                       store.current(), store.gauge());
-  prt.clear_snapshot_dirty();
-  EXPECT_NE(next, prev);
-  EXPECT_EQ(next->version(), prev->version() + 1);
-  EXPECT_EQ(builder.builds_elided(), elided_before + 1);
-}
-
-TEST(SnapshotBuilder, EdgeStateIsCopiedOnlyWhenDirty) {
-  SnapshotStore store;
-  SnapshotBuilder builder;
-  Prt prt(/*covering=*/true);
-  IfaceSet clients{IfaceId{10}};
-  std::map<IfaceId, std::vector<Xpe>> client_subs;
-  client_subs[IfaceId{10}].push_back(parse_xpe("/news/article"));
-
-  rebuild(builder, store, prt, clients, client_subs, /*edge_dirty=*/true);
-  EXPECT_TRUE(store.current()->is_client(IfaceId{10}));
-  EXPECT_FALSE(store.current()->is_client(IfaceId{11}));
-  ASSERT_NE(store.current()->client_subscriptions(IfaceId{10}), nullptr);
-  EXPECT_EQ(store.current()->client_subscriptions(IfaceId{11}), nullptr);
-
-  // The snapshot owns its own view: mutating the live maps afterwards
-  // must not leak through.
-  std::shared_ptr<const RoutingSnapshot> pinned = store.current();
-  clients.insert(IfaceId{11});
-  client_subs[IfaceId{10}].push_back(parse_xpe("/news/sports"));
-  EXPECT_FALSE(pinned->is_client(IfaceId{11}));
-  EXPECT_EQ(pinned->client_subscriptions(IfaceId{10})->size(), 1u);
-}
-
 TEST(MatchScheduler, BatchPinHoldsTheSnapshotUntilFinish) {
   SnapshotStore store;
-  SnapshotBuilder builder;
   Prt prt(/*covering=*/true);
-  IfaceSet clients;
-  std::map<IfaceId, std::vector<Xpe>> client_subs;
 
   prt.insert(parse_xpe("/news/article"), IfaceId{1});
-  rebuild(builder, store, prt, clients, client_subs);
+  publish(store, prt);
 
   MatchScheduler scheduler(MatchScheduler::Options{2, 4});
   EXPECT_EQ(scheduler.pinned_version(), 0u);
@@ -230,7 +113,7 @@ TEST(MatchScheduler, BatchPinHoldsTheSnapshotUntilFinish) {
   // Publish a replacement and drop every other reference to v1 while the
   // epoch is still pinned to it: the pin alone keeps it alive.
   prt.insert(parse_xpe("/news/sports"), IfaceId{2});
-  rebuild(builder, store, prt, clients, client_subs);
+  publish(store, prt);
   EXPECT_EQ(store.version(), 2u);
   EXPECT_EQ(store.live(), 2);
 
@@ -279,6 +162,48 @@ TEST(RoutingSnapshotBroker, BrokerPublishesOnControlOpsOnly) {
   broker.handle(IfaceId{1}, Message{pub}, sink);
   EXPECT_EQ(broker.snapshot_store().version(), v1);
   EXPECT_LE(broker.snapshot_store().live(), 2);
+}
+
+// A parallel broker's snapshot owns a copy of the edge state, taken only
+// when a control op changed it: an op that touches the PRT alone shares
+// the previous copy, and later edits of the live maps never leak into a
+// pinned snapshot.
+TEST(RoutingSnapshotBroker, EdgeStateIsCopiedOnlyWhenDirty) {
+  Broker::Config config;
+  config.use_advertisements = false;
+  config.match_threads = 2;
+  Broker broker(0, config);
+  broker.add_neighbor(IfaceId{1});
+  broker.add_client(IfaceId{10});
+  DiscardSink sink;
+
+  broker.handle(IfaceId{10}, Message::subscribe(parse_xpe("/news/article")),
+                sink);
+  std::shared_ptr<const RoutingSnapshot> pinned =
+      broker.snapshot_store().current();
+  EXPECT_TRUE(pinned->is_client(IfaceId{10}));
+  EXPECT_FALSE(pinned->is_client(IfaceId{11}));
+  ASSERT_NE(pinned->client_subscriptions(IfaceId{10}), nullptr);
+  EXPECT_EQ(pinned->client_subscriptions(IfaceId{11}), nullptr);
+
+  // A neighbour's subscription changes the index, not the edge state.
+  broker.handle(IfaceId{1}, Message::subscribe(parse_xpe("/news/sports")),
+                sink);
+  std::shared_ptr<const RoutingSnapshot> next =
+      broker.snapshot_store().current();
+  EXPECT_EQ(next->version(), pinned->version() + 1);
+  EXPECT_NE(next->index(), pinned->index());
+  EXPECT_EQ(next->edge(), pinned->edge());
+
+  // A client's subscription copies the edge state; the pinned view keeps
+  // its own.
+  broker.add_client(IfaceId{11});
+  broker.handle(IfaceId{10}, Message::subscribe(parse_xpe("/news/weather")),
+                sink);
+  EXPECT_NE(broker.snapshot_store().current()->edge(), pinned->edge());
+  EXPECT_TRUE(broker.snapshot_store().current()->is_client(IfaceId{11}));
+  EXPECT_FALSE(pinned->is_client(IfaceId{11}));
+  EXPECT_EQ(pinned->client_subscriptions(IfaceId{10})->size(), 1u);
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 // Unit tests for the subscription tree (paper §4.1): insertion cases,
 // super pointers, pruned matching, removal, and structural invariants.
+// Matching runs through the PRT's compiled index where the test is about
+// matching, and through the reference scan (tests/oracles.hpp) where it
+// only reads the tree's routing content.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 
 #include "index/subscription_tree.hpp"
+#include "oracles.hpp"
+#include "router/routing_tables.hpp"
 #include "util/rng.hpp"
 #include "workload/dtd_corpus.hpp"
 #include "workload/xml_gen.hpp"
@@ -17,6 +22,8 @@ namespace xroute {
 namespace {
 
 Xpe X(const char* s) { return parse_xpe(s); }
+
+using testing::match_hops_scan;
 
 TEST(SubscriptionTreeTest, InsertChainBuildsDepth) {
   SubscriptionTree tree;
@@ -88,17 +95,17 @@ TEST(SubscriptionTreeTest, CoveredQuery) {
 }
 
 TEST(SubscriptionTreeTest, MatchPrunesButStaysExact) {
-  SubscriptionTree tree;
-  tree.insert(X("/a"), IfaceId{1});
-  tree.insert(X("/a/b"), IfaceId{2});
-  tree.insert(X("/a/b/c"), IfaceId{3});
-  tree.insert(X("/x"), IfaceId{4});
+  Prt prt(/*covering=*/true);
+  prt.insert(X("/a"), IfaceId{1});
+  prt.insert(X("/a/b"), IfaceId{2});
+  prt.insert(X("/a/b/c"), IfaceId{3});
+  prt.insert(X("/x"), IfaceId{4});
 
-  EXPECT_EQ(tree.match_hops(parse_path("/a/b/c")), ifaces({1, 2, 3}));
-  EXPECT_EQ(tree.match_hops(parse_path("/a/b")), ifaces({1, 2}));
-  EXPECT_EQ(tree.match_hops(parse_path("/a/z")), ifaces({1}));
-  EXPECT_EQ(tree.match_hops(parse_path("/x/y")), ifaces({4}));
-  EXPECT_EQ(tree.match_hops(parse_path("/q")), ifaces({}));
+  EXPECT_EQ(prt.match_hops(parse_path("/a/b/c")), ifaces({1, 2, 3}));
+  EXPECT_EQ(prt.match_hops(parse_path("/a/b")), ifaces({1, 2}));
+  EXPECT_EQ(prt.match_hops(parse_path("/a/z")), ifaces({1}));
+  EXPECT_EQ(prt.match_hops(parse_path("/x/y")), ifaces({4}));
+  EXPECT_EQ(prt.match_hops(parse_path("/q")), ifaces({}));
 }
 
 TEST(SubscriptionTreeTest, RemoveLeafAndInner) {
@@ -181,7 +188,7 @@ TEST(SubscriptionTreeTest, TrackCoveredOffStillCorrect) {
   // reported, but matching stays exact... /*/b covers /a/b which is a
   // sibling scan at the same level, so Case 2 still nests it.
   EXPECT_EQ(r.now_covered.size(), 1u);
-  EXPECT_EQ(tree.match_hops(parse_path("/a/b")), ifaces({1, 3}));
+  EXPECT_EQ(match_hops_scan(tree, parse_path("/a/b")), ifaces({1, 3}));
   EXPECT_EQ(tree.validate(), "");
 }
 
@@ -214,7 +221,7 @@ TEST(SubscriptionTreeTest, MergeChildrenBasics) {
   EXPECT_EQ(tree.size(), 2u);
   EXPECT_EQ(tree.validate(), "");
   // Matching routes to the merger's (unioned) hops.
-  EXPECT_EQ(tree.match_hops(parse_path("/a/b/b")), ifaces({1, 2}));
+  EXPECT_EQ(match_hops_scan(tree, parse_path("/a/b/b")), ifaces({1, 2}));
 }
 
 TEST(SubscriptionTreeTest, MergeCollisionReturnsNull) {
@@ -229,18 +236,7 @@ TEST(SubscriptionTreeTest, MergeCollisionReturnsNull) {
   EXPECT_EQ(tree.size(), 3u);
 }
 
-// --- Root-index and covering-cache tests (the PR's indexed hot path) ----
-
-/// Canonical form of a match result for set comparison (callers treat
-/// match_nodes results as a set; only the membership is the contract).
-std::multiset<std::string> match_set(
-    const std::vector<const SubscriptionTree::Node*>& nodes) {
-  std::multiset<std::string> out;
-  for (const SubscriptionTree::Node* node : nodes) {
-    out.insert(node->xpe.to_string());
-  }
-  return out;
-}
+// --- Compiled-index and covering-cache tests (the indexed hot path) -----
 
 TEST(SubscriptionTreeTest, IndexedMatchEqualsScanOnRandomChurn) {
   Dtd dtd = corpus_dtd("news");
@@ -258,42 +254,56 @@ TEST(SubscriptionTreeTest, IndexedMatchEqualsScanOnRandomChurn) {
   }
   ASSERT_FALSE(probes.empty());
 
+  auto check = [&](const Prt& prt, const std::string& where) {
+    ASSERT_EQ(prt.tree()->validate(), "") << where;
+    for (const Path& p : probes) {
+      // Entry level: every matching node contributes its hops once.
+      std::multiset<IfaceId> scanned;
+      for (const SubscriptionTree::Node* node :
+           testing::match_nodes_scan(*prt.tree(), p)) {
+        scanned.insert(node->hops.begin(), node->hops.end());
+      }
+      EXPECT_EQ(testing::uncollapsed_hops(prt, p), scanned)
+          << "path " << p.to_string() << " " << where;
+      EXPECT_EQ(prt.match_hops(p), match_hops_scan(*prt.tree(), p))
+          << "path " << p.to_string() << " " << where;
+    }
+  };
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     gen.seed = seed;
     std::vector<Xpe> xpes = generate_xpaths(dtd, gen);
-    SubscriptionTree tree;
+    Prt prt(/*covering=*/true);
     // Insert everything, interleaving removals of every third XPE so the
-    // index sees root-set churn (splice-to-root on detach included).
+    // index sees root-set churn (splice-to-root on detach included), and
+    // match along the way so each check runs against an incrementally
+    // refreshed index.
     for (std::size_t i = 0; i < xpes.size(); ++i) {
-      tree.insert(xpes[i], IfaceId{static_cast<int>(i % 16)});
-      if (i % 3 == 2) tree.remove(xpes[i - 1], IfaceId{static_cast<int>((i - 1) % 16)});
+      prt.insert(xpes[i], IfaceId{static_cast<int>(i % 16)});
+      if (i % 3 == 2) prt.remove(xpes[i - 1], IfaceId{static_cast<int>((i - 1) % 16)});
+      if (i % 50 == 49) {
+        check(prt, "seed " + std::to_string(seed) + " step " +
+                       std::to_string(i));
+      }
     }
-    ASSERT_EQ(tree.validate(), "");
-    for (const Path& p : probes) {
-      EXPECT_EQ(match_set(tree.match_nodes(p)),
-                match_set(tree.match_nodes_scan(p)))
-          << "path " << p.to_string() << " seed " << seed;
-      EXPECT_EQ(tree.match_hops(p), tree.match_hops_scan(p))
-          << "path " << p.to_string() << " seed " << seed;
-    }
+    check(prt, "seed " + std::to_string(seed));
   }
 }
 
 TEST(SubscriptionTreeTest, IndexedMatchSeesMutationsImmediately) {
-  SubscriptionTree tree;
-  tree.insert(X("/a/b"), IfaceId{1});
-  EXPECT_EQ(tree.match_hops(parse_path("/a/b")), ifaces({1}));
+  Prt prt(/*covering=*/true);
+  prt.insert(X("/a/b"), IfaceId{1});
+  EXPECT_EQ(prt.match_hops(parse_path("/a/b")), ifaces({1}));
   // Root-set mutation after a match (index built): new root must be found.
-  tree.insert(X("/x"), IfaceId{2});
-  EXPECT_EQ(tree.match_hops(parse_path("/x")), ifaces({2}));
+  prt.insert(X("/x"), IfaceId{2});
+  EXPECT_EQ(prt.match_hops(parse_path("/x")), ifaces({2}));
   // Removal must drop it again.
-  tree.remove(X("/x"), IfaceId{2});
-  EXPECT_EQ(tree.match_hops(parse_path("/x")), ifaces({}));
+  prt.remove(X("/x"), IfaceId{2});
+  EXPECT_EQ(prt.match_hops(parse_path("/x")), ifaces({}));
   // Detaching a root splices its children to the root: still matched.
-  tree.insert(X("/a"), IfaceId{3});
-  EXPECT_EQ(tree.match_hops(parse_path("/a/b")), ifaces({1, 3}));
-  tree.remove(X("/a"), IfaceId{3});
-  EXPECT_EQ(tree.match_hops(parse_path("/a/b")), ifaces({1}));
+  prt.insert(X("/a"), IfaceId{3});
+  EXPECT_EQ(prt.match_hops(parse_path("/a/b")), ifaces({1, 3}));
+  prt.remove(X("/a"), IfaceId{3});
+  EXPECT_EQ(prt.match_hops(parse_path("/a/b")), ifaces({1}));
 }
 
 TEST(SubscriptionTreeTest, CoverCacheServesRepeatsWithoutStaleResults) {
@@ -309,7 +319,7 @@ TEST(SubscriptionTreeTest, CoverCacheServesRepeatsWithoutStaleResults) {
   // valid across the mutation by construction.
   tree.erase(X("/a"));
   EXPECT_FALSE(tree.covered(X("/a/b")));
-  EXPECT_EQ(tree.match_hops(parse_path("/a/b")), ifaces({2}));
+  EXPECT_EQ(match_hops_scan(tree, parse_path("/a/b")), ifaces({2}));
 
   // re-insert → query: same value, same uids, same (still correct) verdict.
   auto again = tree.insert(X("/a"), IfaceId{1});

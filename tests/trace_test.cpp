@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -45,6 +46,11 @@ struct TraceCase {
 std::string case_name(const testing::TestParamInfo<TraceCase>& info) {
   return info.param.name;
 }
+
+/// Without this gtest prints a TraceCase as its raw bytes, which include
+/// the strings' heap pointers, so the listed test names (and the CTest
+/// names discovered from them) would change from one run to the next.
+void PrintTo(const TraceCase& c, std::ostream* os) { *os << c.name; }
 
 class TraceOracle : public testing::TestWithParam<TraceCase> {};
 

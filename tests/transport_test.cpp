@@ -184,6 +184,44 @@ TEST(ConnectionBackpressure, WatermarksEngageAndClear) {
   ::close(fds[1]);
 }
 
+// A peer that closes while bytes are still queued to it (written, never
+// read) must make the next write fail as a closed connection. Without
+// MSG_NOSIGNAL that write raises SIGPIPE, which kills the whole process
+// (`xroutectl serve` ignores no signals) before any close path runs.
+TEST(ConnectionClose, PeerClosingWithQueuedBytesClosesWithoutSignal) {
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
+
+  EventLoop loop;
+  auto connection =
+      std::make_unique<Connection>(&loop, fds[0], Connection::Options{});
+  std::promise<std::string> closed;
+  connection->set_close_handler(
+      [&](const std::string& reason) { closed.set_value(reason); });
+  connection->set_frame_handler([](wire::Decoded&&) {});
+
+  std::thread runner([&] { loop.run(); });
+  const std::vector<std::uint8_t> frame =
+      wire::encode_frame(Message::sync_state(std::string(512, 's')));
+  std::promise<bool> accepted_after_close;
+  loop.post([&] {
+    connection->start();
+    connection->send(frame);  // sits unread in the peer's buffer
+    ::close(fds[1]);
+    accepted_after_close.set_value(connection->send(frame));
+  });
+  EXPECT_FALSE(accepted_after_close.get_future().get());
+  std::future<std::string> reason = closed.get_future();
+  ASSERT_EQ(reason.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_EQ(reason.get(), "write error");
+  EXPECT_TRUE(connection->closed());
+
+  loop.stop();
+  runner.join();
+  connection.reset();
+}
+
 // -- Handshake ---------------------------------------------------------------
 
 /// Dials `port`, writes `bytes`, and reports whether the broker hung up

@@ -134,9 +134,8 @@ const char kUsage[] =
     "  connect <host> <port>         handshake with a broker and exit\n"
     "  sub <host> <port> '<xpe>'... [--count N]\n"
     "                                subscribe and print deliveries\n"
-    "  pub <host> <port> <xml-file>... [--first-doc-id N] [--tree]\n"
-    "                                publish documents' paths (--tree uses\n"
-    "                                the DOM parser instead of streaming)\n"
+    "  pub <host> <port> <xml-file>... [--first-doc-id N]\n"
+    "                                publish documents' paths\n"
     "  swarm <host> <edge-port> [--clients N] [--loops K] [--xpe EXPR]...\n"
     "        [--duration MS] [--heartbeat MS]\n"
     "                                simulate N leased edge clients from K\n"
@@ -991,15 +990,14 @@ int cmd_sub(const std::vector<std::string>& args) {
 int cmd_pub(const std::vector<std::string>& args) {
   std::vector<std::string> positional;
   std::uint64_t doc_id = 1;
-  bool tree = false;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--first-doc-id") {
       if (++i >= args.size()) {
         throw UsageError("pub: --first-doc-id needs a number");
       }
       doc_id = std::stoull(args[i]);
-    } else if (args[i] == "--tree") {
-      tree = true;
+    } else if (args[i].rfind("--", 0) == 0) {
+      throw UsageError("pub: unknown flag '" + args[i] + "'");
     } else {
       positional.push_back(args[i]);
     }
@@ -1016,11 +1014,8 @@ int cmd_pub(const std::vector<std::string>& args) {
   }
   for (std::size_t i = 2; i < positional.size(); ++i, ++doc_id) {
     std::string xml = read_file(positional[i]);
-    // Streaming decomposition is the default: one pass over the bytes,
-    // no tree. --tree runs the DOM reference pipeline; both produce
-    // identical path lists (tests/stream_parser_test).
-    std::vector<Path> paths =
-        tree ? extract_paths(parse_xml(xml)) : stream_extract_paths(xml);
+    // Streaming decomposition: one pass over the bytes, no tree.
+    std::vector<Path> paths = stream_extract_paths(xml);
     std::uint32_t path_id = 0;
     for (const Path& path : paths) {
       PublishMsg msg;
