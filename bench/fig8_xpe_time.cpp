@@ -65,13 +65,10 @@ Series run_dtd(const Dtd& dtd, std::size_t total, std::size_t batch,
 
   // With covering: insert into the subscription tree first; covered XPEs
   // skip advertisement matching (paper §5, "XPE Processing Time"). The
-  // covering check is the insertion descent itself (no full-tree sweep:
-  // track_covered off — upstream unsubscription is a routing concern, not
-  // part of the per-XPE processing-time comparison).
+  // tree runs with the broker's default options, so the covering check
+  // includes the super-pointer sweep a broker's insert makes.
   {
-    SubscriptionTree::Options topts;
-    topts.track_covered = false;
-    SubscriptionTree tree(topts);
+    SubscriptionTree tree;
     Stopwatch watch;
     std::size_t done = 0;
     for (const Xpe& x : xpes) {

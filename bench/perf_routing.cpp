@@ -9,7 +9,10 @@
 //   publication match    — flat Prt::match_hops at --subs subscriptions
 //       (the compiled index + interned matcher) vs match_hops_scan (linear
 //       scan with the string matcher), plus the covering tree's compiled
-//       index vs its pruned DFS scan as an informative extra.
+//       index vs its pruned DFS scan as an informative extra;
+//   subscription load    — N generated XPEs into a default covering PRT
+//       (track_covered on): wall time and covering tests per insert, the
+//       smallest N checked against the unpruned reference tree.
 //
 // Every indexed result is verified equal to the reference before timing;
 // the run aborts if any differs. The run also replays the pinned
@@ -17,12 +20,16 @@
 // moved — the observability layer's zero-overhead contract — and embeds
 // that run's full metrics snapshot. Results land in BENCH_routing.json
 // (see DESIGN.md "Performance architecture" for how to read it).
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <set>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "adv/derive.hpp"
@@ -36,6 +43,7 @@
 #include "workload/dtd_corpus.hpp"
 #include "workload/set_builder.hpp"
 #include "workload/xml_gen.hpp"
+#include "workload/xpath_gen.hpp"
 #include "xml/paths.hpp"
 
 using namespace xroute;
@@ -82,6 +90,51 @@ void emit(std::ostream& os, const Metric& m) {
      << "    \"tests_indexed\": " << m.tests_indexed << "\n";
 }
 
+struct LoadPoint {
+  std::size_t subscriptions = 0;
+  double seconds = 0.0;
+  std::size_t covering_tests = 0;
+  std::size_t covered = 0;
+};
+
+/// Loads `xpes` into a default covering PRT (hops round-robin). With a
+/// reference, every insert's covered flag and now_covered list and the
+/// final tree are also compared with it; `*same` reports the verdict.
+LoadPoint load_table(const std::vector<Xpe>& xpes, int hops,
+                     testing::ReferenceCoveringTree* reference, bool* same) {
+  LoadPoint point;
+  point.subscriptions = xpes.size();
+  Prt prt(/*covering=*/true);
+  std::vector<Prt::InsertOutcome> outcomes;
+  outcomes.reserve(xpes.size());
+  const auto start = Clock::now();
+  for (std::size_t i = 0; i < xpes.size(); ++i) {
+    outcomes.push_back(
+        prt.insert(xpes[i], IfaceId{static_cast<int>(i) % hops}));
+  }
+  point.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  point.covering_tests = prt.comparisons();
+  for (const Prt::InsertOutcome& o : outcomes) point.covered += o.covered;
+  if (reference) {
+    for (std::size_t i = 0; i < xpes.size(); ++i) {
+      const testing::ReferenceCoveringTree::Insert want =
+          reference->insert(xpes[i]);
+      if (outcomes[i].covered != want.covered_by_existing ||
+          outcomes[i].now_covered != want.now_covered) {
+        std::cerr << "MISMATCH: load insert " << i << " ("
+                  << xpes[i].to_string() << ")\n";
+        *same = false;
+      }
+    }
+    if (testing::ReferenceCoveringTree::shape(*prt.tree()) !=
+        reference->shape()) {
+      std::cerr << "MISMATCH: loaded tree differs from the reference\n";
+      *same = false;
+    }
+  }
+  return point;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -94,6 +147,9 @@ int main(int argc, char** argv) {
   flags.define("seed", "1", "workload seed");
   flags.define("hops", "64", "distinct last-hop interfaces");
   flags.define("min-seconds", "0.3", "minimum timed duration per loop");
+  flags.define("load", "1000,2000,5000,10000",
+               "subscription-load sizes, ascending; the first is checked "
+               "against the reference tree");
   flags.define("out", "BENCH_routing.json", "output file");
   if (!flags.parse(argc, argv)) return 0;
 
@@ -233,6 +289,39 @@ int main(int argc, char** argv) {
               << " pubs/s (" << tree_metric.speedup() << "x)\n";
   }
 
+  // ---- Subscription load (control plane) ------------------------------
+  // Prefixes of one generated set (the paper's generator at W = DO =
+  // 0.15), so each size extends the previous one.
+  std::vector<std::size_t> load_sizes;
+  {
+    std::istringstream list(flags.get_string("load"));
+    for (std::string item; std::getline(list, item, ',');) {
+      load_sizes.push_back(std::stoul(item));
+    }
+  }
+  std::vector<LoadPoint> load;
+  bool load_same = true;
+  if (!load_sizes.empty()) {
+    XpathGenOptions gen;
+    gen.count = load_sizes.back();
+    gen.seed = flags.get_int64("seed");
+    const std::vector<Xpe> pool = generate_xpaths(dtd, gen);
+    for (std::size_t k = 0; k < load_sizes.size(); ++k) {
+      const std::size_t n = std::min(load_sizes[k], pool.size());
+      const std::vector<Xpe> xpes(pool.begin(),
+                                  pool.begin() + static_cast<long>(n));
+      testing::ReferenceCoveringTree reference;
+      load.push_back(load_table(xpes, hops, k == 0 ? &reference : nullptr,
+                                &load_same));
+      const LoadPoint& p = load.back();
+      std::cout << "load " << p.subscriptions << ": " << p.seconds << " s, "
+                << static_cast<double>(p.covering_tests) /
+                       static_cast<double>(p.subscriptions)
+                << " covering tests/insert\n";
+    }
+    verified = verified && load_same;
+  }
+
   // ---- Clean-network golden (zero-overhead contract) ------------------
   // Same assertion tests/obs_test.cpp makes: replaying the pinned golden
   // scenario must reproduce the pre-observability totals exactly. A
@@ -257,6 +346,7 @@ int main(int argc, char** argv) {
       << "    \"advertisements\": " << derived.advertisements.size() << ",\n"
       << "    \"publication_paths\": " << paths.size() << ",\n"
       << "    \"hops\": " << hops << ",\n"
+      << "    \"cores\": " << std::thread::hardware_concurrency() << ",\n"
       << "    \"seed\": " << flags.get_int64("seed") << "\n"
       << "  },\n"
       << "  \"subscription_forward\": {\n";
@@ -268,6 +358,24 @@ int main(int argc, char** argv) {
       << "  \"covering_tree_match\": {\n";
   emit(out, tree_metric);
   out << "  },\n"
+      << "  \"load\": {\n"
+      << "    \"reference_subscriptions\": "
+      << (load.empty() ? 0 : load.front().subscriptions) << ",\n"
+      << "    \"identical_to_reference\": " << (load_same ? "true" : "false")
+      << ",\n"
+      << "    \"points\": [";
+  for (std::size_t k = 0; k < load.size(); ++k) {
+    const LoadPoint& p = load[k];
+    const double n = static_cast<double>(p.subscriptions);
+    out << (k ? ",\n" : "\n") << "      {\"subscriptions\": " << p.subscriptions
+        << ", \"seconds\": " << p.seconds
+        << ", \"us_per_insert\": " << 1e6 * p.seconds / n
+        << ", \"covering_tests\": " << p.covering_tests
+        << ", \"covering_tests_per_insert\": "
+        << static_cast<double>(p.covering_tests) / n
+        << ", \"covered\": " << p.covered << "}";
+  }
+  out << "\n    ]\n  },\n"
       << "  \"golden_network\": " << (golden_ok ? "true" : "false") << ",\n";
   emit_metrics_snapshot(out, golden_sim.stats().registry(), "metrics");
   out << ",\n"

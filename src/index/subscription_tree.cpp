@@ -36,7 +36,9 @@ bool may_cover(const Xpe& c, const Xpe& x) {
 
 }  // namespace
 
-bool SubscriptionTree::covers_cached(const Xpe& a, const Xpe& b) const {
+bool SubscriptionTree::covers_cached(const Xpe& a, std::uint64_t a_sig,
+                                     const Xpe& b, std::uint64_t b_sig) const {
+  if (!sig_may_cover(a_sig, b_sig)) return false;
   // Counts the *request* whether or not the memo answers it, so the
   // paper's processing-time counters are identical with and without the
   // cache (the cache changes cost, never outcomes or call counts).
@@ -119,32 +121,34 @@ SubscriptionTree::InsertResult SubscriptionTree::insert_new(const Xpe& xpe,
   InsertResult result;
   result.was_new = true;
 
-  const std::uint64_t xsig = symbol_sig(xpe);
+  auto node = std::make_unique<Node>();
+  node->seq = next_seq_++;
+  node->sig = symbol_sig(xpe);
+  node->xpe = xpe;
+  node->hops.insert(hop);
+  Node* raw = node.get();
 
-  // Descend to the deepest node covering the newcomer (paper Case 3).
-  // The root level — thousands of siblings under real tables — goes
-  // through the packed signature index: signature-incompatible children
-  // cannot cover the newcomer, so one sequential pass over root_sigs_
-  // prunes the scan to a handful of candidates before any covering
-  // evaluation (and without touching per-node memory). Deeper sibling
-  // lists are small and keep the plain scan.
+  // Descend to the deepest node covering the newcomer (paper Case 3):
+  // the first covering child in sibling order at every level. The root
+  // level — thousands of siblings under real tables — first passes over
+  // the packed signature index, so only signature-compatible children
+  // are touched; since sibling order is seq order, it keeps the
+  // lowest-seq cover.
   Node* parent = root_.get();
   {
     Node* covering = nullptr;
     for (std::size_t i = 0; i < root_sigs_.size(); ++i) {
-      if ((root_sigs_[i] & ~xsig) != 0) continue;
+      if (!sig_may_cover(root_sigs_[i], raw->sig)) continue;
       Node* cand = root_nodes_[i];
-      // The plain scan takes the first covering child in sibling order;
-      // sibling order is seq order, so keep the lowest-seq cover.
       if (covering && covering->seq < cand->seq) continue;
-      if (covers_cached(cand->xpe, xpe)) covering = cand;
+      if (node_covers(cand, raw)) covering = cand;
     }
     if (covering) parent = covering;
   }
   while (parent != root_.get()) {
     Node* covering_child = nullptr;
     for (const auto& child : parent->children) {
-      if (covers_cached(child->xpe, xpe)) {
+      if (node_covers(child.get(), raw)) {
         covering_child = child.get();
         break;
       }
@@ -154,64 +158,48 @@ SubscriptionTree::InsertResult SubscriptionTree::insert_new(const Xpe& xpe,
   }
 
   // Children of the insertion point that the newcomer covers move below it
-  // (paper Case 2, generalised to any number of covered siblings).
-  auto node = std::make_unique<Node>();
-  node->seq = next_seq_++;
-  node->sig = xsig;
-  node->xpe = xpe;
-  node->hops.insert(hop);
-  Node* raw = node.get();
-
+  // (paper Case 2, generalised to any number of covered siblings). At the
+  // root the packed index finds the candidates: the newcomer covering a
+  // child requires the newcomer's signature to be a subset of the
+  // child's, so the common churn case — no captures — costs the
+  // signature pass alone.
+  std::vector<Node*> captured;
   if (parent == root_.get()) {
-    // Capture at the root, signature-pruned like the descent (the
-    // newcomer covering a child requires the newcomer's signature to be
-    // a subset of the child's). The common churn case — no captures —
-    // costs the signature pass alone.
-    std::vector<Node*> captured;
     for (std::size_t i = 0; i < root_sigs_.size(); ++i) {
-      if ((xsig & ~root_sigs_[i]) != 0) continue;
-      Node* cand = root_nodes_[i];
-      if (covers_cached(xpe, cand->xpe)) captured.push_back(cand);
+      if (!sig_may_cover(raw->sig, root_sigs_[i])) continue;
+      if (node_covers(raw, root_nodes_[i])) captured.push_back(root_nodes_[i]);
     }
-    if (!captured.empty()) {
-      std::vector<std::unique_ptr<Node>> kept;
-      kept.reserve(parent->children.size());
-      for (auto& child : parent->children) {
-        if (std::find(captured.begin(), captured.end(), child.get()) !=
-            captured.end()) {
-          result.now_covered.push_back(child->xpe);
-          // The captured sibling was a root of its own bucket; it now
-          // lives inside the newcomer's — both buckets change.
-          if (!index_all_dirty_) {
-            index_dirty_keys_.insert(bucket_key(child->xpe));
-          }
-          root_child_removed(child.get());
-          child->parent = raw;
-          raw->children.push_back(std::move(child));
-        } else {
-          kept.push_back(std::move(child));
-        }
-      }
-      parent->children = std::move(kept);
-    }
-    raw->parent = parent;
-    parent->children.push_back(std::move(node));
-    root_child_added(raw);
   } else {
+    for (const auto& child : parent->children) {
+      if (node_covers(raw, child.get())) captured.push_back(child.get());
+    }
+  }
+  if (!captured.empty()) {
     std::vector<std::unique_ptr<Node>> kept;
     kept.reserve(parent->children.size());
     for (auto& child : parent->children) {
-      if (covers_cached(xpe, child->xpe)) {
-        child->parent = raw;
-        raw->children.push_back(std::move(child));
-      } else {
+      if (std::find(captured.begin(), captured.end(), child.get()) ==
+          captured.end()) {
         kept.push_back(std::move(child));
+        continue;
       }
+      if (parent == root_.get()) {
+        result.now_covered.push_back(child->xpe);
+        // The captured sibling was a root of its own bucket; it now
+        // lives inside the newcomer's — both buckets change.
+        if (!index_all_dirty_) {
+          index_dirty_keys_.insert(bucket_key(child->xpe));
+        }
+        root_child_removed(child.get());
+      }
+      child->parent = raw;
+      raw->children.push_back(std::move(child));
     }
     parent->children = std::move(kept);
-    raw->parent = parent;
-    parent->children.push_back(std::move(node));
   }
+  raw->parent = parent;
+  parent->children.push_back(std::move(node));
+  if (parent == root_.get()) root_child_added(raw);
   by_xpe_.emplace(xpe, raw);
   note_index_dirty(raw);
   result.node = raw;
@@ -220,25 +208,27 @@ SubscriptionTree::InsertResult SubscriptionTree::insert_new(const Xpe& xpe,
   if (options_.track_covered) {
     // Search the rest of the tree for covering relations the tree shape
     // cannot express; record them as super pointers (paper §4.1).
-    collect_covered_outside(xpe, raw, raw, &result.now_covered);
+    collect_covered_outside(raw, &result.now_covered);
     if (!raw->super_sources.empty()) result.covered_by_existing = true;
   }
   return result;
 }
 
-void SubscriptionTree::collect_covered_outside(const Xpe& xpe,
-                                               const Node* skip,
-                                               Node* origin_node,
+void SubscriptionTree::collect_covered_outside(Node* origin_node,
                                                std::vector<Xpe>* out) {
-  // Iterative DFS over the whole tree except `skip`'s subtree.
+  // Iterative DFS over the whole tree except the newcomer's subtree.
+  // Both covering requests per node pass the signature test first, so the
+  // walk reads two signatures per node and runs covers() only on the few
+  // compatible pairs; the visiting order, and with it the order of the
+  // recorded pointers, is that of the plain DFS.
   std::vector<Node*> stack;
   for (auto& child : root_->children) {
-    if (child.get() != skip) stack.push_back(child.get());
+    if (child.get() != origin_node) stack.push_back(child.get());
   }
   while (!stack.empty()) {
     Node* node = stack.back();
     stack.pop_back();
-    if (covers_cached(xpe, node->xpe)) {
+    if (node_covers(origin_node, node)) {
       // The newcomer covers this top-of-covered-region node: shortcut via
       // a super pointer; its subtree is covered transitively, so there is
       // no need to descend.
@@ -247,7 +237,7 @@ void SubscriptionTree::collect_covered_outside(const Xpe& xpe,
       if (node->parent == root_.get()) out->push_back(node->xpe);
       continue;
     }
-    if (covers_cached(node->xpe, xpe)) {
+    if (node_covers(node, origin_node)) {
       // An additional coverer — but only outside the ancestor chain, where
       // the tree edge already expresses the relation.
       bool is_ancestor = false;
@@ -263,7 +253,7 @@ void SubscriptionTree::collect_covered_outside(const Xpe& xpe,
       }
     }
     for (auto& child : node->children) {
-      if (child.get() != skip) stack.push_back(child.get());
+      if (child.get() != origin_node) stack.push_back(child.get());
     }
   }
 }
@@ -340,22 +330,21 @@ SubscriptionTree::Node* SubscriptionTree::merge_children(
   // merges are periodic and rare, so attribute conservatively.
   index_all_dirty_ = true;
 
-  // The merger is strictly more general than its originals and may escape
-  // the parent's coverage (e.g. a '//' introduced by the general rule):
-  // adopt it at the nearest ancestor that still covers it, preserving the
-  // parent-covers-child invariant the pruned matching relies on.
-  Node* adoption_parent = parent;
-  while (adoption_parent != root_.get() &&
-         !covers_cached(adoption_parent->xpe, merger_xpe)) {
-    adoption_parent = adoption_parent->parent;
-  }
-
   auto merger = std::make_unique<Node>();
   merger->seq = next_seq_++;
   merger->sig = symbol_sig(merger_xpe);
   merger->xpe = merger_xpe;
   merger->merger = true;
   Node* raw = merger.get();
+
+  // The merger is strictly more general than its originals and may escape
+  // the parent's coverage (e.g. a '//' introduced by the general rule):
+  // adopt it at the nearest ancestor that still covers it, preserving the
+  // parent-covers-child invariant the pruned matching relies on.
+  Node* adoption_parent = parent;
+  while (adoption_parent != root_.get() && !node_covers(adoption_parent, raw)) {
+    adoption_parent = adoption_parent->parent;
+  }
 
   for (Node* original : originals) {
     raw->hops.insert(original->hops.begin(), original->hops.end());
@@ -413,7 +402,7 @@ SubscriptionTree::Node* SubscriptionTree::merge_children(
   std::vector<std::unique_ptr<Node>> kept;
   kept.reserve(adoption_parent->children.size());
   for (auto& child : adoption_parent->children) {
-    if (child.get() != adopted && covers_cached(adopted->xpe, child->xpe)) {
+    if (child.get() != adopted && node_covers(adopted, child.get())) {
       if (adoption_parent == root_.get()) root_child_removed(child.get());
       child->parent = adopted;
       adopted->children.push_back(std::move(child));
@@ -467,12 +456,18 @@ bool SubscriptionTree::erase(const Xpe& xpe) {
 }
 
 bool SubscriptionTree::covered(const Xpe& xpe) const {
+  const std::uint64_t sig = symbol_sig(xpe);
   std::vector<const Node*> stack;
   for (const auto& child : root_->children) stack.push_back(child.get());
   while (!stack.empty()) {
     const Node* node = stack.back();
     stack.pop_back();
-    if (!(node->xpe == xpe) && covers_cached(node->xpe, xpe)) return true;
+    // A node whose signature cannot cover the query prunes its subtree:
+    // descendants' signatures contain it.
+    if (!sig_may_cover(node->sig, sig)) continue;
+    if (!(node->xpe == xpe) && covers_cached(node->xpe, node->sig, xpe, sig)) {
+      return true;
+    }
     for (const auto& child : node->children) stack.push_back(child.get());
   }
   return false;

@@ -125,9 +125,18 @@ class SubscriptionTree {
   /// 64-bit Bloom signature over the XPE's concrete step symbols.
   /// Covering maps every concrete coverer step onto an equal symbol of
   /// the covered expression (symbol_covers), so covers(a, b) implies
-  /// sig(a) & ~sig(b) == 0 — a one-AND necessary condition that prunes
-  /// the root-level insert scans without reading either XPE.
+  /// sig_may_cover(sig(a), sig(b)).
   static std::uint64_t symbol_sig(const Xpe& xpe);
+
+  /// The one-AND necessary condition for covers(a, b) on the operands'
+  /// signatures. Every covering request the tree makes passes it first,
+  /// so a pair failing it costs neither a covers() test nor a memo probe.
+  /// Along a tree path signatures only grow (a parent covers its
+  /// children), so a node that fails it as the coverer of `b` speaks for
+  /// its whole subtree.
+  static bool sig_may_cover(std::uint64_t a_sig, std::uint64_t b_sig) {
+    return (a_sig & ~b_sig) == 0;
+  }
 
   // -- Match index support (router/routing_tables.hpp) --------------------
   //
@@ -173,12 +182,12 @@ class SubscriptionTree {
   /// Depth-first visit of every node (parents before children).
   void for_each(const std::function<void(const Node&)>& fn) const;
 
-  /// Comparison counter: number of covers() tests requested since
-  /// construction (match tests are counted by the PRT's index, see
-  /// Prt::comparisons()); the processing-time experiments report both.
-  /// Covering tests answered from the memo cache still count (the request
-  /// happened; only its cost changed), so covering-routing experiment
-  /// numbers are unchanged by the cache.
+  /// Comparison counter: number of covering tests requested since
+  /// construction that passed the signature test (match tests are counted
+  /// by the PRT's index, see Prt::comparisons()); the processing-time
+  /// experiments report both. Tests answered from the memo cache still
+  /// count (the request happened; only its cost changed), so the figure
+  /// does not depend on the cache.
   std::size_t comparisons() const { return comparisons_; }
 
   /// Covering-memo statistics (see DESIGN.md "Performance architecture").
@@ -213,13 +222,16 @@ class SubscriptionTree {
 
  private:
   InsertResult insert_new(const Xpe& xpe, IfaceId hop);
-  void collect_covered_outside(const Xpe& xpe, const Node* skip,
-                               Node* origin_node,
-                               std::vector<Xpe>* out);
+  void collect_covered_outside(Node* origin_node, std::vector<Xpe>* out);
   /// Marks the bucket containing `node` (its root ancestor's key) dirty
   /// for the index refresh.
   void note_index_dirty(const Node* node);
-  bool covers_cached(const Xpe& a, const Xpe& b) const;
+  /// covers(a, b) behind sig_may_cover, memoised.
+  bool covers_cached(const Xpe& a, std::uint64_t a_sig, const Xpe& b,
+                     std::uint64_t b_sig) const;
+  bool node_covers(const Node* a, const Node* b) const {
+    return covers_cached(a->xpe, a->sig, b->xpe, b->sig);
+  }
   void unlink_super(Node* node);
 
   /// Bounded memo for covers() over canonical XPE uid pairs. Entries bind
@@ -236,11 +248,9 @@ class SubscriptionTree {
 
   /// Packed signature index over the root's direct children (parallel
   /// arrays, order-free: Node::root_slot maps back). Root sibling lists
-  /// run to thousands of entries under real tables, and the insert
-  /// descend/capture scans used to evaluate covering against every one
-  /// of them — a cache-hostile walk over that many XPEs (and cover-memo
-  /// probes) per control op. One sequential pass over the packed sigs
-  /// prunes both scans to the few signature-compatible candidates.
+  /// run to thousands of entries under real tables; one sequential pass
+  /// over the packed sigs finds the few signature-compatible candidates
+  /// of the insert descend/capture scans without touching a node.
   /// Maintained eagerly by root_child_added/removed at every site that
   /// mutates root_->children.
   std::vector<std::uint64_t> root_sigs_;

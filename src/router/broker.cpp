@@ -440,6 +440,18 @@ void Broker::forward_subscription(const Xpe& xpe, IfaceId exclude,
   IfaceSet& sent = forwarded_to_[xpe];
   IfaceSet covered_on;
   if (config_.use_covering) covered_on = coverage_interfaces(xpe);
+  // Every target is a neighbour other than `exclude`. When each of those
+  // already has a coverer's route or this XPE, nothing can be sent: skip
+  // the SRT overlap test. Covered subscribes and most orphan re-forwards
+  // end here.
+  const bool nothing_to_send =
+      std::all_of(neighbors_.begin(), neighbors_.end(), [&](IfaceId n) {
+        return n == exclude || covered_on.count(n) || sent.count(n);
+      });
+  if (nothing_to_send) {
+    if (sent.empty()) forwarded_to_.erase(xpe);
+    return;
+  }
   IfaceSet targets = subscription_targets(xpe, exclude);
   StageTimer forward_timer(stages_ ? &stages_->forward_ms : nullptr);
   for (IfaceId target : targets) {

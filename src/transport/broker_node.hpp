@@ -279,7 +279,9 @@ class TransportBroker {
   int next_interface_ = 0;
   std::size_t backpressured_connections_ = 0;
   std::thread thread_;
-  bool running_ = false;
+  /// Written by start()/stop() on the caller's thread, read by the loop
+  /// thread's disconnect handling.
+  std::atomic<bool> running_{false};
   std::uint16_t port_ = 0;
 
   // -- Membership state (loop thread only) ---------------------------------

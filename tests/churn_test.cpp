@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -291,11 +292,20 @@ TEST_P(ChurnDifferential, PipelinedBatchesMatchThePerMessageOracle) {
   }
 }
 
-std::string churn_name(const ::testing::TestParamInfo<ChurnCase>& info) {
-  return "seed" + std::to_string(info.param.seed) +
-         (info.param.covering ? "_covering" : "_flat") +
-         (info.param.advertisements ? "_adv" : "");
+std::string case_name(const ChurnCase& c) {
+  return "seed" + std::to_string(c.seed) +
+         (c.covering ? "_covering" : "_flat") +
+         (c.advertisements ? "_adv" : "");
 }
+
+std::string churn_name(const ::testing::TestParamInfo<ChurnCase>& info) {
+  return case_name(info.param);
+}
+
+/// Without this gtest prints a ChurnCase as its raw bytes, padding
+/// included, so the listed test names (and the CTest names discovered
+/// from them) would change from one build to the next.
+void PrintTo(const ChurnCase& c, std::ostream* os) { *os << case_name(c); }
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ChurnDifferential,

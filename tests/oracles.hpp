@@ -9,11 +9,15 @@
 // The file also holds the reference twins of the routing tables' indexed
 // lookups (linear scans with the string matchers): the differential
 // oracles for the PRT's compiled index and the SRT's symbol index, and the
-// "before" baselines of bench/perf_routing.
+// "before" baselines of bench/perf_routing; and the covering tree's
+// unpruned insert and remove, the oracle of its signature-pruned
+// maintenance.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -24,6 +28,7 @@
 #include "index/subscription_tree.hpp"
 #include "match/adv_automaton.hpp"
 #include "match/adv_match.hpp"
+#include "match/covering.hpp"
 #include "match/pub_match.hpp"
 #include "router/iface.hpp"
 #include "router/routing_tables.hpp"
@@ -249,5 +254,168 @@ inline IfaceSet hops_overlapping_scan(const Srt& srt, const Xpe& xpe,
   }
   return hops;
 }
+
+// -- Reference covering tree ----------------------------------------------
+
+/// The subscription tree's insert and remove (paper §4.1) with no pruning
+/// and no memo: the three insertion cases as plain sibling scans, and the
+/// super-pointer sweep as a DFS that runs both covers() tests on every
+/// node outside the newcomer's subtree. SubscriptionTree must reproduce
+/// its shape, its super pointers in order and each insert's now_covered
+/// list exactly; only the number of covers() tests may differ.
+class ReferenceCoveringTree {
+ public:
+  struct Node {
+    Xpe xpe;
+    std::uint64_t seq = 0;
+    Node* parent = nullptr;
+    std::vector<Node*> children;  ///< in seq order, like the tree's
+    std::vector<Node*> super;
+    std::vector<Node*> super_sources;
+  };
+
+  /// What SubscriptionTree::insert reports for a new XPE, plus the new
+  /// node's super pointers both ways.
+  struct Insert {
+    bool covered_by_existing = false;
+    std::vector<Xpe> now_covered;
+    std::vector<Xpe> super;
+    std::vector<Xpe> super_sources;
+  };
+
+  /// Inserts an XPE not yet present.
+  Insert insert(const Xpe& xpe) {
+    Insert out;
+    Node* parent = &root_;
+    for (Node* next = parent; next;) {
+      parent = next;
+      next = nullptr;
+      for (Node* child : parent->children) {
+        if (covers(child->xpe, xpe)) {
+          next = child;
+          break;
+        }
+      }
+    }
+    auto owned = std::make_unique<Node>();
+    Node* node = owned.get();
+    node->xpe = xpe;
+    node->seq = next_seq_++;
+    nodes_.emplace(xpe.to_string(), std::move(owned));
+    std::vector<Node*> kept;
+    for (Node* child : parent->children) {
+      if (!covers(xpe, child->xpe)) {
+        kept.push_back(child);
+        continue;
+      }
+      if (parent == &root_) out.now_covered.push_back(child->xpe);
+      child->parent = node;
+      node->children.push_back(child);
+    }
+    kept.push_back(node);
+    parent->children = std::move(kept);
+    node->parent = parent;
+    out.covered_by_existing = parent != &root_;
+
+    // The super-pointer sweep.
+    std::vector<Node*> stack;
+    for (Node* child : root_.children) {
+      if (child != node) stack.push_back(child);
+    }
+    while (!stack.empty()) {
+      Node* other = stack.back();
+      stack.pop_back();
+      if (covers(xpe, other->xpe)) {
+        node->super.push_back(other);
+        other->super_sources.push_back(node);
+        if (other->parent == &root_) out.now_covered.push_back(other->xpe);
+        continue;
+      }
+      if (covers(other->xpe, xpe)) {
+        bool is_ancestor = false;
+        for (Node* walk = node->parent; walk; walk = walk->parent) {
+          is_ancestor = is_ancestor || walk == other;
+        }
+        if (!is_ancestor) {
+          other->super.push_back(node);
+          node->super_sources.push_back(other);
+        }
+      }
+      for (Node* child : other->children) {
+        if (child != node) stack.push_back(child);
+      }
+    }
+    if (!node->super_sources.empty()) out.covered_by_existing = true;
+    for (Node* n : node->super) out.super.push_back(n->xpe);
+    for (Node* n : node->super_sources) out.super_sources.push_back(n->xpe);
+    return out;
+  }
+
+  /// Removes a present XPE: its super pointers go, its children splice to
+  /// its parent in seq order.
+  void erase(const Xpe& xpe) {
+    auto it = nodes_.find(xpe.to_string());
+    Node* node = it->second.get();
+    for (Node* target : node->super) std::erase(target->super_sources, node);
+    for (Node* source : node->super_sources) std::erase(source->super, node);
+    Node* parent = node->parent;
+    std::erase(parent->children, node);
+    for (Node* child : node->children) {
+      child->parent = parent;
+      parent->children.push_back(child);
+    }
+    std::sort(parent->children.begin(), parent->children.end(),
+              [](const Node* a, const Node* b) { return a->seq < b->seq; });
+    nodes_.erase(it);
+  }
+
+  bool contains(const Xpe& xpe) const {
+    return nodes_.count(xpe.to_string()) > 0;
+  }
+
+  /// SubscriptionTree::covered: some stored XPE other than `xpe` covers it.
+  bool covered(const Xpe& xpe) const {
+    for (const auto& [name, node] : nodes_) {
+      if (!(node->xpe == xpe) && covers(node->xpe, xpe)) return true;
+    }
+    return false;
+  }
+  std::size_t size() const { return nodes_.size(); }
+
+  /// Canonical dump: one line per node in pre-order, sibling order,
+  /// indented by depth, with its super pointers both ways in order.
+  std::string shape() const { return dump(root_.children); }
+
+  /// The same dump of a SubscriptionTree.
+  static std::string shape(const SubscriptionTree& tree) {
+    std::vector<const SubscriptionTree::Node*> roots;
+    for (const auto& child : tree.root()->children) {
+      roots.push_back(child.get());
+    }
+    return dump(roots);
+  }
+
+ private:
+  template <typename N>
+  static std::string dump(const std::vector<N*>& roots) {
+    std::string out;
+    auto line = [&](auto&& self, const N* node, std::size_t depth) -> void {
+      out.append(2 * depth, ' ');
+      out += node->xpe.to_string();
+      out += " super[";
+      for (const N* t : node->super) out += t->xpe.to_string() + " ";
+      out += "] sources[";
+      for (const N* t : node->super_sources) out += t->xpe.to_string() + " ";
+      out += "]\n";
+      for (const auto& child : node->children) self(self, &*child, depth + 1);
+    };
+    for (const N* root : roots) line(line, root, 0);
+    return out;
+  }
+
+  Node root_;
+  std::uint64_t next_seq_ = 1;
+  std::map<std::string, std::unique_ptr<Node>> nodes_;
+};
 
 }  // namespace xroute::testing

@@ -276,7 +276,7 @@ Xpe random_predicated_xpe(Rng& rng) {
     if (step.is_wildcard() || !rng.chance(0.4)) continue;
     Predicate p;
     p.target = Predicate::Target::kAttribute;
-    p.name = rng.chance(0.5) ? "u" : "v";
+    p.name = std::string(1, rng.chance(0.5) ? 'u' : 'v');
     switch (rng.index(4)) {
       case 0: p.op = Predicate::Op::kExists; break;
       case 1:
@@ -334,6 +334,30 @@ TEST_P(PredicateCoveringProperty, SoundOnAnnotatedPaths) {
     }
   }
   EXPECT_GT(confirmed, 0u);  // the test must exercise real coverings
+}
+
+// The subscription tree answers "no" to every covering request whose
+// signatures fail sig_may_cover, so the test must be a necessary
+// condition of covers(): over small-alphabet XPEs with wildcards, '//',
+// relative forms and predicates, covers(s1, s2) implies it.
+TEST_P(PredicateCoveringProperty, SignatureTestIsNecessaryForCovering) {
+  Rng rng(GetParam());
+  auto draw = [&] {
+    return rng.chance(0.5)
+               ? random_predicated_xpe(rng)
+               : xroute::testing::random_xpe(rng, small_alphabet(), 5);
+  };
+  std::size_t confirmed = 0;
+  for (int i = 0; i < 20000; ++i) {
+    Xpe s1 = draw();
+    Xpe s2 = draw();
+    if (!covers(s1, s2)) continue;
+    ++confirmed;
+    ASSERT_TRUE(SubscriptionTree::sig_may_cover(
+        SubscriptionTree::symbol_sig(s1), SubscriptionTree::symbol_sig(s2)))
+        << s1.to_string() << " covers " << s2.to_string();
+  }
+  EXPECT_GT(confirmed, 500u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PredicateCoveringProperty,

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -13,6 +16,7 @@
 #include "oracles.hpp"
 #include "router/broker.hpp"
 #include "util/rng.hpp"
+#include "wire/codec.hpp"
 #include "workload/dtd_corpus.hpp"
 #include "workload/xml_gen.hpp"
 #include "workload/xpath_gen.hpp"
@@ -253,6 +257,42 @@ TEST(BrokerUnsubscribe, ReissuesPreviouslyCoveredChildren) {
   }
 }
 
+// With every neighbour already holding a coverer's route, a subscription
+// has nowhere to go: the broker must not run the SRT overlap test for it.
+// That holds for a covered subscribe and for the re-forward of an orphan
+// its grandparent still covers.
+TEST(BrokerSubscribe, NothingToSendSkipsTheSrt) {
+  Broker broker(0, Broker::Config{});
+  broker.add_neighbor(kUp);
+  broker.add_client(kClient);
+  broker.handle(kUp, Message::advertise(
+                         Advertisement::from_elements({"a", "b", "c"}), 7));
+
+  std::size_t srt0 = broker.srt().comparisons();
+  auto r0 = broker.handle(kClient, Message::subscribe(X("/a")));
+  EXPECT_EQ(targets(r0, MessageType::kSubscribe), (std::vector<IfaceId>{kUp}));
+  EXPECT_GT(broker.srt().comparisons(), srt0);
+
+  srt0 = broker.srt().comparisons();
+  auto r1 = broker.handle(kClient, Message::subscribe(X("/a/b")));
+  auto r2 = broker.handle(kClient, Message::subscribe(X("/a/b/c")));
+  EXPECT_TRUE(r1.forwards.empty());
+  EXPECT_TRUE(r2.forwards.empty());
+  EXPECT_EQ(broker.srt().comparisons(), srt0);
+
+  // /a/b leaves; its orphan /a/b/c splices under /a, whose route stands.
+  auto r3 = broker.handle(kClient, Message::unsubscribe(X("/a/b")));
+  EXPECT_TRUE(r3.forwards.empty());
+  EXPECT_EQ(broker.srt().comparisons(), srt0);
+
+  // /a leaves too: now the orphan needs its own route, found in the SRT.
+  auto r4 = broker.handle(kClient, Message::unsubscribe(X("/a")));
+  EXPECT_EQ(targets(r4, MessageType::kSubscribe), (std::vector<IfaceId>{kUp}));
+  EXPECT_EQ(targets(r4, MessageType::kUnsubscribe),
+            (std::vector<IfaceId>{kUp}));
+  EXPECT_GT(broker.srt().comparisons(), srt0);
+}
+
 TEST(BrokerMerging, MergePassEmitsMergerAndUnsubs) {
   Dtd dtd = parse_dtd(R"(
 <!ELEMENT r (x)+>
@@ -423,6 +463,170 @@ TEST(PrtFlatIndex, MatchHopsEqualsScanOnRandomWorkload) {
           << "path " << p.to_string();
     }
   }
+}
+
+// -- Covering maintenance golden --------------------------------------------
+//
+// perfbench's broker 1 in miniature: default options, one neighbour
+// holding the NEWS advertisements, one client loading 2,000 generated
+// XPEs, churning a disjoint 2,000-XPE pool through a 64-XPE live window,
+// then tearing everything down. The digests pin every forwarded control
+// message, in order, and the covering tree after the churn (parents,
+// super pointers both ways). They were recorded before the signature
+// pruning of the covering tests, which must change what those tests cost
+// and nothing they decide.
+
+struct Fnv {
+  std::uint64_t value = 14695981039346656037ull;
+  void byte(std::uint8_t b) {
+    value ^= b;
+    value *= 1099511628211ull;
+  }
+  void word(std::uint64_t v) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      byte(static_cast<std::uint8_t>(v >> shift));
+    }
+  }
+  void text(const std::string& s) {
+    word(s.size());
+    for (char c : s) byte(static_cast<std::uint8_t>(c));
+  }
+};
+
+struct DigestSink : ForwardSink {
+  Fnv fnv;
+  std::size_t events = 0;
+  void on_event(const DeliveryEvent& event) override {
+    ++events;
+    fnv.byte(static_cast<std::uint8_t>(event.kind));
+    fnv.word(static_cast<std::uint64_t>(event.iface.value()));
+    if (!event.has_message()) return;
+    for (std::uint8_t b : wire::encode_frame(event.message())) fnv.byte(b);
+  }
+};
+
+std::uint64_t tree_digest(const SubscriptionTree& tree) {
+  Fnv fnv;
+  auto name = [&](const SubscriptionTree::Node* n) {
+    return n == tree.root() ? std::string("<root>") : n->xpe.to_string();
+  };
+  tree.for_each([&](const SubscriptionTree::Node& n) {
+    fnv.text(name(&n));
+    fnv.text(name(n.parent));
+    fnv.word(n.super.size());
+    for (const SubscriptionTree::Node* t : n.super) fnv.text(name(t));
+    fnv.word(n.super_sources.size());
+    for (const SubscriptionTree::Node* s : n.super_sources) fnv.text(name(s));
+  });
+  return fnv.value;
+}
+
+/// Digests of one golden run (see run_golden).
+struct GoldenRun {
+  std::size_t load_events = 0;
+  std::size_t churn_events = 0;
+  std::uint64_t churn_stream = 0;
+  std::uint64_t churn_tree = 0;
+  std::size_t teardown_events = 0;
+  std::uint64_t final_stream = 0;
+  friend bool operator==(const GoldenRun&, const GoldenRun&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const GoldenRun& g) {
+    return os << "{" << g.load_events << ", " << g.churn_events << ", "
+              << g.churn_stream << "ull, " << g.churn_tree << "ull, "
+              << g.teardown_events << ", " << g.final_stream << "ull}";
+  }
+};
+
+/// Advertisement i arrives from neighbour i % `neighbours`. Steady XPE i
+/// comes from the client, or with `mixed_sources` from interface
+/// i % (`neighbours` + 1), the last being the client; the client runs the
+/// churn. Load, 2,000 churn ops, then teardown: the live pool drains and
+/// the steady table leaves newest first, so each departing coverer
+/// re-forwards its orphans, withdrawn in turn later.
+GoldenRun run_golden(int neighbours, bool mixed_sources) {
+  constexpr std::size_t kSteady = 2000, kPool = 2000, kOps = 2000, kLive = 64;
+  const IfaceId client{neighbours};
+  const Dtd dtd = news_dtd();
+  XpathGenOptions gen;
+  gen.count = kSteady + kPool;
+  gen.seed = 1;
+  const std::vector<Xpe> xpes = generate_xpaths(dtd, gen);
+  EXPECT_EQ(xpes.size(), kSteady + kPool);
+  std::vector<Xpe> pool(xpes.begin() + kSteady, xpes.end());
+  Rng pool_rng(1);
+  std::shuffle(pool.begin(), pool.end(), pool_rng.engine());
+  auto steady_from = [&](std::size_t i) {
+    if (!mixed_sources) return client;
+    return IfaceId{static_cast<int>(i % (neighbours + 1u))};
+  };
+
+  Broker broker(1, BrokerOptions{});
+  for (int n = 0; n < neighbours; ++n) broker.add_neighbor(IfaceId{n});
+  broker.add_client(client);
+  DigestSink sink;
+  const std::vector<Advertisement> advs =
+      derive_advertisements(dtd).advertisements;
+  for (std::size_t i = 0; i < advs.size(); ++i) {
+    broker.handle(IfaceId{static_cast<int>(i % neighbours)},
+                  Message::advertise(advs[i], 0), sink);
+  }
+  const std::size_t adv_events = sink.events;
+  for (std::size_t i = 0; i < kSteady; ++i) {
+    broker.handle(steady_from(i), Message::subscribe(xpes[i]), sink);
+  }
+  GoldenRun run;
+  run.load_events = sink.events - adv_events;
+  // perfbench's ChurnWindow: subscribe the next pool XPE until kLive are
+  // live, then unsubscribe the oldest and subscribe the next, in turn.
+  std::deque<const Xpe*> live;
+  std::size_t next = 0;
+  for (std::size_t op = 0; op < kOps; ++op) {
+    if (live.size() >= kLive) {
+      broker.handle(client, Message::unsubscribe(*live.front()), sink);
+      live.pop_front();
+    } else {
+      live.push_back(&pool[next]);
+      next = (next + 1) % pool.size();
+      broker.handle(client, Message::subscribe(*live.back()), sink);
+    }
+  }
+  const SubscriptionTree& tree = *broker.prt().tree();
+  EXPECT_EQ(tree.validate(), "");
+  EXPECT_EQ(broker.prt_size(), kSteady + live.size());
+  run.churn_events = sink.events - adv_events;
+  run.churn_stream = sink.fnv.value;
+  run.churn_tree = tree_digest(tree);
+
+  for (const Xpe* xpe : live) {
+    broker.handle(client, Message::unsubscribe(*xpe), sink);
+  }
+  for (std::size_t i = kSteady; i-- > 0;) {
+    broker.handle(steady_from(i), Message::unsubscribe(xpes[i]), sink);
+  }
+  EXPECT_EQ(tree.validate(), "");
+  EXPECT_EQ(broker.prt_size(), 0u);
+  run.teardown_events = sink.events - adv_events;
+  run.final_stream = sink.fnv.value;
+  return run;
+}
+
+TEST(BrokerGolden, PerfbenchShapedLoadChurnAndTeardown) {
+  const GoldenRun got = run_golden(1, /*mixed_sources=*/false);
+  EXPECT_EQ(got, (GoldenRun{103, 103, 17822956419240278388ull,
+                            9413504988225562101ull, 206,
+                            5338147801188080196ull}))
+      << got;
+}
+
+// Subscriptions from three neighbours and a client, advertisements split
+// between the neighbours: coverers now route toward some interfaces and
+// not others, and forwards are excluded from their arrival interface.
+TEST(BrokerGolden, ThreeNeighboursLoadChurnAndTeardown) {
+  const GoldenRun got = run_golden(3, /*mixed_sources=*/true);
+  EXPECT_EQ(got, (GoldenRun{189, 245, 17836716109995806008ull,
+                            9413504988225562101ull, 476,
+                            4876829405827226930ull}))
+      << got;
 }
 
 }  // namespace

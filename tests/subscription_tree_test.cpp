@@ -344,5 +344,73 @@ TEST(SubscriptionTreeTest, CoverCacheHitsStillCountAsComparisons) {
   EXPECT_GT(tree.cover_cache_hits(), hits_before);
 }
 
+// --- Signature-pruned maintenance against the unpruned reference --------
+
+std::vector<Xpe> names(const std::vector<SubscriptionTree::Node*>& nodes) {
+  std::vector<Xpe> out;
+  for (const SubscriptionTree::Node* n : nodes) out.push_back(n->xpe);
+  return out;
+}
+
+/// Drives `ops` random inserts and removes over `xpes` into the tree and
+/// the reference, comparing every insert's outcome in order, the whole
+/// shape after every op, and covered() on a random probe.
+void run_differential(const std::vector<Xpe>& xpes, std::uint64_t seed,
+                      std::size_t ops) {
+  SubscriptionTree tree;
+  testing::ReferenceCoveringTree reference;
+  Rng rng(seed);
+  std::size_t super_links = 0;
+  for (std::size_t op = 0; op < ops; ++op) {
+    const Xpe& xpe = xpes[rng.index(xpes.size())];
+    const std::string where =
+        "op " + std::to_string(op) + " " + xpe.to_string();
+    if (reference.contains(xpe)) {
+      if (rng.chance(0.6)) {
+        tree.erase(xpe);
+        reference.erase(xpe);
+      }
+    } else {
+      const SubscriptionTree::InsertResult got = tree.insert(xpe, IfaceId{1});
+      const testing::ReferenceCoveringTree::Insert want = reference.insert(xpe);
+      ASSERT_TRUE(got.was_new) << where;
+      EXPECT_EQ(got.covered_by_existing, want.covered_by_existing) << where;
+      EXPECT_EQ(got.now_covered, want.now_covered) << where;
+      EXPECT_EQ(names(got.node->super), want.super) << where;
+      EXPECT_EQ(names(got.node->super_sources), want.super_sources) << where;
+      super_links += want.super.size() + want.super_sources.size();
+    }
+    ASSERT_EQ(testing::ReferenceCoveringTree::shape(tree), reference.shape())
+        << where;
+    const Xpe& probe = xpes[rng.index(xpes.size())];
+    EXPECT_EQ(tree.covered(probe), reference.covered(probe))
+        << where << ", probe " << probe.to_string();
+  }
+  EXPECT_EQ(tree.size(), reference.size());
+  EXPECT_EQ(tree.validate(), "");
+  // The workload must exercise the sweep, not only tree edges.
+  EXPECT_GT(super_links, 0u);
+}
+
+TEST(SubscriptionTreeTest, PrunedMaintenanceEqualsReferenceOnSmallAlphabet) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<Xpe> xpes;
+    for (int i = 0; i < 80; ++i) {
+      xpes.push_back(testing::random_xpe(rng, testing::small_alphabet(), 4));
+    }
+    run_differential(xpes, seed, 600);
+  }
+}
+
+TEST(SubscriptionTreeTest, PrunedMaintenanceEqualsReferenceOnNews) {
+  XpathGenOptions gen;
+  gen.count = 300;
+  gen.seed = 5;
+  gen.relative_prob = 0.2;
+  run_differential(generate_xpaths(corpus_dtd("news"), gen), 5, 900);
+}
+
 }  // namespace
 }  // namespace xroute
