@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker(0, config);
   const IfaceId kSubscriber{1};

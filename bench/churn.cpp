@@ -15,10 +15,10 @@
 // (control-thread ns/pub + workers' match CPU split per thread) — the
 // same churn_match_basis logic BENCH_parallel.json uses for speedups.
 // A separate phase times the control plane alone (ops/sec for a
-// subscribe/unsubscribe round-trip including the RCU snapshot rebuild),
-// and the PRT index refresh's structural-sharing counters land in the
-// JSON so a regression to full recompiles is visible as a rebuilt/shared
-// ratio shift.
+// subscribe/unsubscribe round-trip; control ops only mark index buckets
+// dirty, and the next epoch's pin compiles them), and the PRT index
+// refresh's structural-sharing counters land in the JSON so a regression
+// to full recompiles is visible as a rebuilt/shared ratio shift.
 //
 // The previous BENCH_churn.json (one level deep) is embedded under
 // "previous" so a fresh run preserves the before/after pair.
@@ -64,7 +64,7 @@ constexpr int kChurnIface = 999;
 
 std::unique_ptr<Broker> make_broker(std::size_t threads, const CoverSet& set,
                                     int hops) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   // The churn-optimised control plane: track_covered's whole-tree sweep
   // per insert is the upstream-unsubscription optimisation, not a
@@ -92,7 +92,7 @@ struct ChurnPoint {
   double critical_path_ns_per_pub = 0.0;
   double critical_path_ns_per_pub_median = 0.0;
   double critical_path_ns_per_pub_min = 0.0;
-  std::uint64_t snapshot_builds = 0;
+  std::uint64_t index_builds = 0;
   std::uint64_t buckets_rebuilt = 0;
   std::uint64_t buckets_shared = 0;
   std::uint64_t buckets_unchanged = 0;
@@ -154,7 +154,8 @@ int main(int argc, char** argv) {
   // ---- Determinism under churn: forwards identical across threads -----
   // Per-message replay of pubs with control ops interleaved every 16th
   // message; the multi-threaded broker must forward byte-for-byte like
-  // the sequential one even though every op republishes the snapshot.
+  // the sequential one even though each publication after an op pins a
+  // freshly compiled index.
   bool verified = true;
   {
     std::vector<std::vector<Broker::Forward>> reference;
@@ -214,9 +215,8 @@ int main(int argc, char** argv) {
     } while (elapsed < min_seconds);
     control_ops_per_sec = static_cast<double>(ops) / elapsed;
     control_builds = broker->prt().index_stats().builds - builds_before;
-    std::cout << "control plane: " << control_ops_per_sec
-              << " ops/s (each op publishing a snapshot; " << control_builds
-              << " builds)\n";
+    std::cout << "control plane: " << control_ops_per_sec << " ops/s ("
+              << control_builds << " index builds)\n";
   }
 
   // ---- Churn sweep: pub matching at 0 / 1k / 10k control ops/sec ------
@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
   // window while the match epoch is in flight. The probe replays the
   // same publications with the control stream silent and is what the
   // criterion reads: the match cost against the freshly churned
-  // snapshot. (Measuring the carrier epochs instead would, on a
+  // index. (Measuring the carrier epochs instead would, on a
   // core-starved box, mostly price the context switches the
   // concurrently-runnable control thread induces mid-epoch — scheduler
   // interference, not engine cost; on a multi-core box the two run on
@@ -425,7 +425,7 @@ int main(int argc, char** argv) {
             : *std::min_element(p.probe_ns_per_pub.begin(),
                                 p.probe_ns_per_pub.end());
     const Prt::IndexStats& stats = p.broker->prt().index_stats();
-    point.snapshot_builds = stats.builds - p.builds_before;
+    point.index_builds = stats.builds - p.builds_before;
     point.buckets_rebuilt = stats.buckets_rebuilt - p.rebuilt_before;
     point.buckets_shared = stats.buckets_shared - p.shared_before;
     point.buckets_unchanged = stats.buckets_unchanged - p.unchanged_before;
@@ -434,7 +434,7 @@ int main(int argc, char** argv) {
               << " reps): " << point.pubs_per_sec << " pubs/s wall, probe "
               << point.critical_path_ns_per_pub_median << " ns/pub median ("
               << point.critical_path_ns_per_pub_min << " min), "
-              << point.snapshot_builds << " snapshot builds, "
+              << point.index_builds << " index builds, "
               << point.buckets_rebuilt << " rebuilt / "
               << point.buckets_unchanged << " unchanged\n";
     sweep.push_back(point);
@@ -442,9 +442,9 @@ int main(int argc, char** argv) {
 
   // ---- Acceptance: match cost at 10k ops/s vs zero churn --------------
   // The probe epochs' critical path is the basis (see the sweep loop):
-  // worker CPU per pub against the freshly churned snapshot, median
+  // worker CPU per pub against the freshly churned index, median
   // over paired interleaved reps — churn-rate-independent by
-  // construction if and only if the snapshot machinery actually keeps
+  // construction if and only if the index refresh actually keeps
   // matching cost flat.
   const double base_ns = sweep.front().critical_path_ns_per_pub_median;
   const double at_10k_ns = sweep.back().critical_path_ns_per_pub_median;
@@ -488,7 +488,7 @@ int main(int argc, char** argv) {
       << "  },\n"
       << "  \"control_plane\": {\n"
       << "    \"ops_per_sec\": " << control_ops_per_sec << ",\n"
-      << "    \"snapshot_builds\": " << control_builds << "\n"
+      << "    \"index_builds\": " << control_builds << "\n"
       << "  },\n"
       << "  \"sweep\": [\n";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -503,7 +503,7 @@ int main(int argc, char** argv) {
         << p.critical_path_ns_per_pub_median
         << ", \"critical_path_ns_per_pub_min\": "
         << p.critical_path_ns_per_pub_min
-        << ", \"snapshot_builds\": " << p.snapshot_builds
+        << ", \"index_builds\": " << p.index_builds
         << ", \"buckets_rebuilt\": " << p.buckets_rebuilt
         << ", \"buckets_shared\": " << p.buckets_shared
         << ", \"buckets_unchanged\": " << p.buckets_unchanged << "}"

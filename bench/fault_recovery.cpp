@@ -82,7 +82,7 @@ Outcome run_scenario(const Scenario& s, bool faulted,
                      std::string* metrics_json = nullptr) {
   Simulator sim(Simulator::Options{0.0});
   Topology topology = complete_binary_tree(3);
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   for (std::size_t i = 0; i < topology.num_brokers; ++i) sim.add_broker(config);
   for (auto [a, b] : topology.edges) sim.connect(a, b, LinkConfig{});

@@ -4,9 +4,9 @@ namespace xroute {
 
 namespace {
 
-Broker::Config broker_config(const Network::Options& options,
-                             const PathUniverse* universe) {
-  Broker::Config config;
+BrokerOptions broker_config(const Network::Options& options,
+                            const PathUniverse* universe) {
+  BrokerOptions config;
   config.use_advertisements = options.strategy.advertisements;
   config.use_covering = options.strategy.covering;
   config.track_covered = options.strategy.covering;

@@ -27,7 +27,7 @@ GoldenTotals golden_expected() {
 
 GoldenTotals run_golden_scenario(Simulator& sim) {
   Topology topology = complete_binary_tree(3);
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   for (std::size_t i = 0; i < topology.num_brokers; ++i) {
     sim.add_broker(config);

@@ -28,7 +28,7 @@ int Simulator::new_endpoint() {
   return static_cast<int>(endpoints_.size()) - 1;
 }
 
-int Simulator::add_broker(const Broker::Config& config) {
+int Simulator::add_broker(const BrokerOptions& config) {
   if (config.match_threads > 1) {
     // The simulator folds wall-clock processing time into simulated time;
     // a worker pool would perturb that measurement and the deterministic
@@ -108,7 +108,7 @@ void Simulator::connect(int broker_a, int broker_b, const LinkConfig& link) {
   brokers_[broker_b]->add_neighbor(IfaceId{end_b});
 }
 
-void Simulator::build(const Topology& topology, const Broker::Config& config,
+void Simulator::build(const Topology& topology, const BrokerOptions& config,
                       LatencyProfile profile, Rng& rng) {
   for (std::size_t i = 0; i < topology.num_brokers; ++i) add_broker(config);
   for (auto [a, b] : topology.edges) {

@@ -52,10 +52,10 @@ class Simulator {
   explicit Simulator(Options options);
 
   // -- Construction --------------------------------------------------------
-  int add_broker(const Broker::Config& config);
+  int add_broker(const BrokerOptions& config);
   void connect(int broker_a, int broker_b, const LinkConfig& link);
   /// Builds all brokers and links of `topology` at once.
-  void build(const Topology& topology, const Broker::Config& config,
+  void build(const Topology& topology, const BrokerOptions& config,
              LatencyProfile profile, Rng& rng);
   /// Attaches a client to `broker`; returns the client id.
   int attach_client(int broker, const LinkConfig& link = LinkConfig{});
@@ -213,7 +213,7 @@ class Simulator {
   EventQueue queue_;
   double now_ = 0.0;
   std::vector<std::unique_ptr<Broker>> brokers_;
-  std::vector<Broker::Config> broker_configs_;
+  std::vector<BrokerOptions> broker_configs_;
   std::vector<Endpoint> endpoints_;
   std::vector<Client> clients_;
   NetworkStats stats_;

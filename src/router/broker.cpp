@@ -37,7 +37,7 @@ class StageTimer {
 
 }  // namespace
 
-Broker::Broker(int id, Config config)
+Broker::Broker(int id, BrokerOptions config)
     : id_(id),
       config_(config),
       prt_(config.use_covering, config.track_covered) {
@@ -46,8 +46,7 @@ Broker::Broker(int id, Config config)
                                 problem);
   }
   if (config_.match_threads > 1) {
-    scheduler_ = std::make_unique<MatchScheduler>(MatchScheduler::Options{
-        config_.match_threads, config_.effective_shards()});
+    scheduler_ = std::make_unique<MatchScheduler>(config_.match_threads);
   }
 }
 
@@ -57,25 +56,20 @@ Broker::Broker(Broker&& other)
     : id_(other.id_),
       config_(std::move(other.config_)),
       neighbors_(std::move(other.neighbors_)),
-      clients_(std::move(other.clients_)),
+      edge_(std::move(other.edge_)),
       srt_(std::move(other.srt_)),
       prt_(std::move(other.prt_)),
-      client_subs_(std::move(other.client_subs_)),
       forwarded_to_(std::move(other.forwarded_to_)),
       new_subs_since_merge_(other.new_subs_since_merge_),
       merges_applied_(other.merges_applied_),
       pending_syncs_(other.pending_syncs_),
       seen_publications_(std::move(other.seen_publications_)) {
   // The old worker pool (and its possibly in-flight pin) belongs to the
-  // moved-from broker; tear it down and start a fresh pool and a fresh
-  // snapshot store here.
+  // moved-from broker; tear it down and start a fresh pool here.
   other.scheduler_.reset();
   if (config_.match_threads > 1) {
-    scheduler_ = std::make_unique<MatchScheduler>(MatchScheduler::Options{
-        config_.match_threads, config_.effective_shards()});
+    scheduler_ = std::make_unique<MatchScheduler>(config_.match_threads);
   }
-  // This object's store starts empty: publish on the first refresh.
-  edge_dirty_ = true;
 }
 
 void Broker::add_neighbor(IfaceId interface_id) {
@@ -83,24 +77,14 @@ void Broker::add_neighbor(IfaceId interface_id) {
 }
 
 void Broker::add_client(IfaceId interface_id) {
-  clients_.insert(interface_id);
-  edge_dirty_ = true;
+  mutable_edge().clients.insert(interface_id);
 }
 
-void Broker::refresh_snapshot() {
-  if (!scheduler_ || defer_refresh_) return;
-  auto prev = snapshots_.current();
-  // index() keeps the previous index itself when nothing is dirty or the
-  // dirty buckets recompiled to identical content (control ops netted
-  // out): with the edge state clean too, there is nothing to publish.
-  const std::shared_ptr<const PrtIndex>& index = prt_.index();
-  if (index == prev->index() && !edge_dirty_) return;
-  auto edge = edge_dirty_ ? std::make_shared<const RoutingSnapshot::Edge>(
-                                RoutingSnapshot::Edge{clients_, client_subs_})
-                          : prev->edge();
-  snapshots_.publish(std::make_shared<const RoutingSnapshot>(
-      prev->version() + 1, index, std::move(edge), snapshots_.gauge()));
-  edge_dirty_ = false;
+Broker::Edge& Broker::mutable_edge() {
+  // Only handle_batch shares edge_ (its pin for the pipelined window), and
+  // only on this thread: use_count() is exact here.
+  if (edge_.use_count() > 1) edge_ = std::make_shared<Edge>(*edge_);
+  return *edge_;
 }
 
 void Broker::drop_interface(IfaceId interface_id, ForwardSink& sink) {
@@ -127,9 +111,9 @@ void Broker::drop_interface(IfaceId interface_id, ForwardSink& sink) {
                        sink, &ignored);
   }
   neighbors_.erase(interface_id);
-  clients_.erase(interface_id);
-  client_subs_.erase(interface_id);
-  edge_dirty_ = true;
+  Edge& edge = mutable_edge();
+  edge.clients.erase(interface_id);
+  edge.client_subs.erase(interface_id);
   // Forwarding records may still name the interface (subscriptions we had
   // sent *to* the peer); scrub it so later unsubscriptions do not chase a
   // dead edge.
@@ -137,13 +121,6 @@ void Broker::drop_interface(IfaceId interface_id, ForwardSink& sink) {
     it->second.erase(interface_id);
     it = it->second.empty() ? forwarded_to_.erase(it) : std::next(it);
   }
-  refresh_snapshot();
-}
-
-const std::vector<Xpe>* Broker::client_subscriptions(
-    IfaceId interface_id) const {
-  auto it = client_subs_.find(interface_id);
-  return it == client_subs_.end() ? nullptr : &it->second;
 }
 
 void Broker::restore_advertisement(const Advertisement& adv,
@@ -169,8 +146,7 @@ void Broker::restore_merger(const Xpe& merger,
 
 void Broker::restore_client_table(IfaceId interface_id,
                                   std::vector<Xpe> xpes) {
-  client_subs_[interface_id] = std::move(xpes);
-  edge_dirty_ = true;
+  mutable_edge().client_subs[interface_id] = std::move(xpes);
 }
 
 void Broker::restore_forwarding(const Xpe& xpe, IfaceSet interfaces) {
@@ -205,7 +181,13 @@ Broker::HandleStatus Broker::handle(IfaceId from_interface, const Message& msg,
                          std::get<UnsubscribeMsg>(msg.payload), sink, &out);
       break;
     case MessageType::kPublish:
-      handle_publish(from_interface, msg, {}, sink, &out);
+      if (scheduler_) {
+        // A batch of one: the same pinned epoch handle_batch runs.
+        const Inbound inbound{from_interface, &msg};
+        out = handle_batch(std::span<const Inbound>(&inbound, 1), sink);
+      } else {
+        handle_publish(from_interface, msg, {}, sink, &out);
+      }
       break;
     case MessageType::kUnadvertise:
       handle_unadvertise(from_interface,
@@ -219,12 +201,6 @@ Broker::HandleStatus Broker::handle(IfaceId from_interface, const Message& msg,
                         &out);
       break;
   }
-  // Control messages mutated the live tables above; publish the next
-  // snapshot now, *without* waiting for any in-flight match epoch — the
-  // epoch keeps its pinned version, future epochs see this one. (No-op
-  // for publish messages: matching already refreshed, and matching
-  // itself dirties nothing.)
-  refresh_snapshot();
   stages_ = nullptr;
   return out;
 }
@@ -257,12 +233,12 @@ Broker::HandleStatus Broker::handle_batch(std::span<const Inbound> batch,
       continue;
     }
     // A run of consecutive publications: one scheduler epoch for the
-    // whole run, matched against the snapshot pinned here. While the
-    // workers match, this thread processes the control messages that
-    // follow the run — their table mutations cannot affect the pinned
-    // snapshot, and their outgoing messages are buffered and replayed
-    // after the run's forwards, so the sink sees exactly the sequential
-    // emission order.
+    // whole run, matched against the PRT index pinned here (compiled now
+    // if control ops dirtied it). While the workers match, this thread
+    // processes the control messages that follow the run — their table
+    // mutations cannot affect the pinned index, and their outgoing
+    // messages are buffered and replayed after the run's forwards, so the
+    // sink sees exactly the sequential emission order.
     std::size_t end = i;
     while (end < batch.size() &&
            batch[end].msg->type() == MessageType::kPublish) {
@@ -292,27 +268,25 @@ Broker::HandleStatus Broker::handle_batch(std::span<const Inbound> batch,
       i = end;
       continue;
     }
-    refresh_snapshot();
-    std::shared_ptr<const RoutingSnapshot> pinned = snapshots_.current();
-    scheduler_->begin_batch(batch_paths_, pinned);
+    // The edge state is pinned with the index: the window's first
+    // mutation copies it (mutable_edge), later ones edit that copy.
+    const std::shared_ptr<const Edge> pinned_edge = edge_;
+    scheduler_->begin_batch(batch_paths_, prt_.index());
     // The pipelined control window: handle the control messages that
     // follow the publication run while the epoch is still in flight.
     // Each one completes — tables mutated, outgoing control traffic
     // emitted — without waiting for the workers (the no-quiesce-barrier
-    // property). Snapshot publication is coalesced across the window
-    // (defer_refresh_): no epoch can pin between these ops, so one
-    // publish at the next pin covers them all, and ops that net out
-    // inside the window (subscribe + unsubscribe of the same XPE) never
-    // cost a bucket recompile at all.
+    // property). They only mark index buckets dirty: the next epoch's pin
+    // compiles them all at once, and ops that net out inside the window
+    // (subscribe + unsubscribe of the same XPE) never cost a bucket
+    // recompile at all.
     std::size_t next = end;
     window_sink_.clear();
-    defer_refresh_ = true;
     while (next < batch.size() &&
            batch[next].msg->type() != MessageType::kPublish) {
       total += handle(batch[next].from, *batch[next].msg, window_sink_);
       ++next;
     }
-    defer_refresh_ = false;
     scheduler_->finish_batch(&batch_results_);
     std::size_t comparisons = 0;
     for (std::size_t k = 0; k < batch_pubs_.size(); ++k) {
@@ -320,12 +294,12 @@ Broker::HandleStatus Broker::handle_batch(std::span<const Inbound> batch,
       out.publication_matched = !batch_results_[k].hops.empty();
       out.merger_false_matches = batch_results_[k].merger_false_matches;
       comparisons += batch_results_[k].comparisons;
-      // Forward against the pinned view: the window's control ops may
-      // already have changed the live edge state, but these publications
+      // Forward against the pinned edge state: the window's control ops
+      // may already have changed the live one, but these publications
       // were matched before them.
       forward_publication(batch_froms_[k], *batch_envelopes_[k],
                           *batch_pubs_[k], batch_results_[k].hops,
-                          batch_frames_[k], pinned.get(), sink, &out);
+                          batch_frames_[k], *pinned_edge, sink, &out);
       total += out;
     }
     prt_.add_comparisons(comparisons);
@@ -492,9 +466,8 @@ void Broker::forward_unsubscription(const Xpe& xpe, IfaceId exclude,
 void Broker::handle_subscribe(IfaceId from, const SubscribeMsg& msg,
                               ForwardSink& sink, HandleStatus* out) {
   (void)out;
-  if (clients_.count(from)) {
-    client_subs_[from].push_back(msg.xpe);
-    edge_dirty_ = true;
+  if (edge_->clients.count(from)) {
+    mutable_edge().client_subs[from].push_back(msg.xpe);
   }
   Prt::InsertOutcome outcome = [&] {
     StageTimer match_timer(stages_ ? &stages_->prt_match_ms : nullptr);
@@ -543,15 +516,16 @@ void Broker::handle_subscribe(IfaceId from, const SubscribeMsg& msg,
 void Broker::handle_unsubscribe(IfaceId from, const UnsubscribeMsg& msg,
                                 ForwardSink& sink, HandleStatus* out) {
   (void)out;
-  if (clients_.count(from)) {
-    auto it = client_subs_.find(from);
-    if (it != client_subs_.end()) {
-      auto& subs = it->second;
-      auto pos = std::find(subs.begin(), subs.end(), msg.xpe);
-      if (pos != subs.end()) {
-        subs.erase(pos);
-        edge_dirty_ = true;
-      }
+  const std::vector<Xpe>* subs =
+      edge_->clients.count(from) ? edge_->subscriptions_of(from) : nullptr;
+  if (subs) {
+    auto pos = std::find(subs->begin(), subs->end(), msg.xpe);
+    if (pos != subs->end()) {
+      // By offset: if a window pins the edge state, mutable_edge() edits
+      // a copy, which `pos` does not point into.
+      const auto offset = pos - subs->begin();
+      std::vector<Xpe>& owned = mutable_edge().client_subs[from];
+      owned.erase(owned.begin() + offset);
     }
   }
 
@@ -587,33 +561,12 @@ void Broker::handle_unsubscribe(IfaceId from, const UnsubscribeMsg& msg,
   }
 }
 
-std::vector<IfaceId> Broker::match_publication(const PublishMsg& msg,
-                                               HandleStatus* out) {
-  if (scheduler_) {
-    // Match against the current snapshot (published here if any control
-    // op changed the index or the edge state since the last publish).
-    refresh_snapshot();
-    MatchScheduler::MatchResult result =
-        scheduler_->match_one(msg.path, snapshots_.current());
-    out->merger_false_matches += result.merger_false_matches;
-    prt_.add_comparisons(result.comparisons);
-    return std::move(result.hops);
-  }
-  // Inline on this thread: the same compiled index and kernel, refreshed
-  // here if control ops dirtied buckets since the last match.
-  StageTimer match_timer(stages_ ? &stages_->prt_match_ms : nullptr);
-  Prt::ShardMatch result;
-  prt_.match(msg.path, &result);
-  out->merger_false_matches += result.merger_false_matches;
-  return std::move(result.hops);
-}
-
 void Broker::forward_publication(IfaceId from, const Message& envelope,
                                  const PublishMsg& msg,
                                  std::span<const IfaceId> hops,
                                  std::span<const std::uint8_t> frame,
-                                 const RoutingSnapshot* view,
-                                 ForwardSink& sink, HandleStatus* out) {
+                                 const Edge& edge, ForwardSink& sink,
+                                 HandleStatus* out) {
   // The hop list is sorted and deduplicated: several matching
   // subscriptions sharing a next hop yield one forwarded copy, and the
   // ascending order is the determinism anchor for the parallel engine.
@@ -626,15 +579,12 @@ void Broker::forward_publication(IfaceId from, const Message& envelope,
   // transport resends `frame` without touching the Message at all.
   for (IfaceId hop : hops) {
     if (hop == from) continue;
-    const bool hop_is_client =
-        view ? view->is_client(hop) : clients_.count(hop) > 0;
-    if (hop_is_client) {
+    if (edge.clients.count(hop)) {
       // Edge exactness: deliver only if one of the client's original XPEs
       // matches; merged-entry surplus is a network-internal false positive
       // and is suppressed here (paper §4.3: "The false positives are not
       // delivered to subscribers").
-      const std::vector<Xpe>* originals =
-          view ? view->client_subscriptions(hop) : client_subscriptions(hop);
+      const std::vector<Xpe>* originals = edge.subscriptions_of(hop);
       bool exact = false;
       if (originals) {
         for (const Xpe& original : *originals) {
@@ -668,11 +618,20 @@ void Broker::handle_publish(IfaceId from, const Message& envelope,
   // free and deliveries exact.
   if (!seen_publications_.insert(msg.doc_id, msg.path_id)) return;
 
-  std::vector<IfaceId> hops = match_publication(msg, out);
-  out->publication_matched = !hops.empty();
-  // No view: nothing ran between match and forward, the live edge state
-  // is the matched-against state.
-  forward_publication(from, envelope, msg, hops, frame, nullptr, sink, out);
+  // Sequential brokers only (a threaded one matches in handle_batch's
+  // epochs): the compiled index, refreshed here if control ops dirtied
+  // buckets since the last match, scanned inline on this thread.
+  PrtMatch match;
+  {
+    StageTimer match_timer(stages_ ? &stages_->prt_match_ms : nullptr);
+    prt_.match(msg.path, &match);
+  }
+  out->merger_false_matches += match.merger_false_matches;
+  out->publication_matched = !match.hops.empty();
+  // Nothing ran between match and forward: the live edge state is the
+  // matched-against state.
+  forward_publication(from, envelope, msg, match.hops, frame, *edge_, sink,
+                      out);
 }
 
 void Broker::handle_sync_request(IfaceId from, ForwardSink& sink) {

@@ -22,9 +22,11 @@
 // ForwardSink; the discrete-event simulator (src/net) and the TCP
 // transport (src/transport) provide transport and timing. With
 // match_threads > 1 in BrokerOptions, publication matching fans out over
-// the scheduler's worker pool (router/match_scheduler.hpp); results are
-// merged back in deterministic order, so the sink observes the exact
-// forward sequence a sequential broker would emit.
+// the scheduler's worker pool (router/match_scheduler.hpp), each
+// publication matched whole against the compiled PRT index the epoch
+// pinned; forwarding runs in arrival order on the calling thread, so the
+// sink observes the exact forward sequence a sequential broker would
+// emit.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,6 @@
 #include "router/iface.hpp"
 #include "router/match_scheduler.hpp"
 #include "router/message.hpp"
-#include "router/routing_snapshot.hpp"
 #include "router/routing_tables.hpp"
 #include "router/seen_window.hpp"
 
@@ -132,10 +133,6 @@ class ForwardSink {
 
 class Broker {
  public:
-  /// All knobs live in router/broker_options.hpp; `Broker::Config` remains
-  /// as the historical spelling.
-  using Config = BrokerOptions;
-
   struct Forward {
     IfaceId interface = kNoIface;
     Message message;
@@ -218,16 +215,31 @@ class Broker {
     std::span<const std::uint8_t> frame{};
   };
 
+  /// The edge state the forward stage's edge-exactness check reads: the
+  /// locally attached clients and each client's original XPEs.
+  /// Copy-on-write: handle_batch pins it for its pipelined window, and a
+  /// mutator copies it only while that pin holds it, so a sequential
+  /// broker never copies it.
+  struct Edge {
+    IfaceSet clients;
+    std::map<IfaceId, std::vector<Xpe>> client_subs;
+
+    /// The client's original XPEs, or nullptr if it has none.
+    const std::vector<Xpe>* subscriptions_of(IfaceId client) const {
+      auto it = client_subs.find(client);
+      return it == client_subs.end() ? nullptr : &it->second;
+    }
+  };
+
   /// Throws std::invalid_argument if `config.validate()` rejects the
   /// combination.
-  Broker(int id, Config config);
+  Broker(int id, BrokerOptions config);
   ~Broker();
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
-  /// Move tears down the old worker pool and starts a fresh one with a
-  /// fresh snapshot store (the first refresh publishes the moved PRT's
-  /// index). Only legal whenever no handle() call is in flight — the
-  /// broker's usual single-writer rule.
+  /// Move tears down the old worker pool and starts a fresh one. Only
+  /// legal whenever no handle() call is in flight — the broker's usual
+  /// single-writer rule.
   Broker(Broker&& other);
   Broker& operator=(Broker&&) = delete;
 
@@ -262,12 +274,12 @@ class Broker {
   /// status. Semantically identical to calling handle() per element —
   /// the sink sees the concatenation of the per-message sequences — but
   /// with match_threads > 1, runs of consecutive publications are matched
-  /// as one scheduler epoch (publication × shard task grid), which is
-  /// where the parallel engine earns its throughput.
+  /// as one scheduler epoch (one task per publication), which is where
+  /// the parallel engine earns its throughput.
   HandleStatus handle_batch(std::span<const Inbound> batch, ForwardSink& sink);
 
   int id() const { return id_; }
-  const Config& config() const { return config_; }
+  const BrokerOptions& config() const { return config_; }
   std::size_t prt_size() const { return prt_.size(); }
   std::size_t srt_size() const { return srt_.size(); }
   std::size_t comparisons() const {
@@ -275,27 +287,16 @@ class Broker {
   }
   std::size_t merges_applied() const { return merges_applied_; }
   const IfaceSet& neighbors() const { return neighbors_; }
-  const IfaceSet& clients() const { return clients_; }
-  const std::vector<Xpe>* client_subscriptions(IfaceId interface_id) const;
+  const Edge& edge() const { return *edge_; }
 
   /// The parallel engine, or nullptr when match_threads == 1 (metrics
   /// export and tests).
   const MatchScheduler* scheduler() const { return scheduler_.get(); }
 
-  /// The RCU snapshot store holding the current published snapshot. Only
-  /// meaningful with match_threads > 1: a sequential broker matches the
-  /// PRT's compiled index inline and publishes nothing. Tests and
-  /// bench/churn read it (the index's compile counters are
-  /// prt().index_stats()).
-  const SnapshotStore& snapshot_store() const { return snapshots_; }
-
   // -- Snapshot support (router/snapshot.h) --------------------------------
   const Srt& srt() const { return srt_; }
   const Prt& prt() const { return prt_; }
   Prt& prt() { return prt_; }
-  const std::map<IfaceId, std::vector<Xpe>>& client_tables() const {
-    return client_subs_;
-  }
   const std::unordered_map<Xpe, IfaceSet, XpeHash>& forwarding_record()
       const {
     return forwarded_to_;
@@ -334,34 +335,23 @@ class Broker {
                          HandleStatus* out);
   void run_merge_pass(ForwardSink& sink);
 
-  /// The match stage of handle_publish: the hops of every matching PRT
-  /// entry (sorted ascending, deduplicated), with merger false matches
-  /// counted. Scans the PRT's compiled index inline or — when the
-  /// scheduler exists — fanned across the worker pool.
-  std::vector<IfaceId> match_publication(const PublishMsg& msg,
-                                         HandleStatus* out);
-
-  /// The forward stage of handle_publish: edge-exactness per client hop,
+  /// The forward stage of a publication: edge-exactness per client hop,
   /// plain forward per neighbour hop. Identical for sequential, parallel
   /// and batched paths — determinism lives here (hop lists are sorted).
   /// `envelope` is the original message (no per-publication deep copy);
-  /// `frame` is its wire frame or empty. A non-null `view` pins the edge
-  /// state (client set, original XPEs) as of the snapshot the publication
-  /// was matched against: with control ops pipelined into the match
-  /// epoch, the live maps may already be ahead of this publication.
+  /// `frame` is its wire frame or empty. `edge` is the edge state the
+  /// publication was matched against: with control ops pipelined into
+  /// the match epoch, the live state may already be ahead of it.
   void forward_publication(IfaceId from, const Message& envelope,
                            const PublishMsg& msg,
                            std::span<const IfaceId> hops,
                            std::span<const std::uint8_t> frame,
-                           const RoutingSnapshot* view, ForwardSink& sink,
+                           const Edge& edge, ForwardSink& sink,
                            HandleStatus* out);
 
-  /// Publishes the next routing snapshot if the PRT's index or the edge
-  /// state changed since the last publish (refreshing the index compiles
-  /// its dirty buckets). No-op when the scheduler is off: a sequential
-  /// broker refreshes the index lazily at its next match and reads the
-  /// live edge state.
-  void refresh_snapshot();
+  /// The edge state for mutation: copied first if a pipelined window
+  /// still pins the current one.
+  Edge& mutable_edge();
 
   /// Next-hop broker interfaces for a subscription: SRT overlap when
   /// advertisements are on, otherwise every neighbour. `exclude` is the
@@ -392,30 +382,21 @@ class Broker {
                            ForwardSink& sink);
 
   int id_;
-  Config config_;
+  BrokerOptions config_;
   /// Stage sink of the handle() call in flight (null = untraced).
   StageTimings* stages_ = nullptr;
   IfaceSet neighbors_;
-  IfaceSet clients_;
+  /// Null only in a moved-from broker; shared only while handle_batch
+  /// pins it (see Edge).
+  std::shared_ptr<Edge> edge_ = std::make_shared<Edge>();
   Srt srt_;
   Prt prt_;
   /// Worker pool for parallel publication matching; null when
-  /// match_threads == 1. Workers match against the immutable snapshot
+  /// match_threads == 1. Workers match against the immutable PRT index
   /// pinned at epoch launch, never the live tables — this (single-writer)
-  /// broker mutates prt_/srt_ freely while an epoch runs and publishes
-  /// the next snapshot when done (no quiesce barrier).
+  /// broker mutates prt_/srt_ freely while an epoch runs (no quiesce
+  /// barrier), and the next epoch's pin compiles what changed.
   std::unique_ptr<MatchScheduler> scheduler_;
-  /// Current published routing snapshot (control thread only for
-  /// publish; workers read through the scheduler's pin).
-  SnapshotStore snapshots_;
-  /// Edge state (clients_/client_subs_) changed since the last snapshot
-  /// publish. Starts true so the first refresh publishes a complete view.
-  bool edge_dirty_ = true;
-  /// True while handle_batch runs the pipelined control window: snapshot
-  /// publication coalesces to a single publish at the next epoch's pin
-  /// instead of one per control op (no epoch can pin mid-window, so the
-  /// intermediate snapshots would never be observed).
-  bool defer_refresh_ = false;
   /// Defers forwards emitted by control messages processed while a batch
   /// epoch is in flight, replayed after the epoch's publications forward
   /// — preserving the sequential emission order (see handle_batch).
@@ -452,8 +433,6 @@ class Broker {
     std::vector<Item> items_;
   };
   BufferedSink window_sink_;
-  /// Original XPEs per locally attached client (edge exactness).
-  std::map<IfaceId, std::vector<Xpe>> client_subs_;
   /// Interfaces each subscription was forwarded to (for unsubscription).
   std::unordered_map<Xpe, IfaceSet, XpeHash> forwarded_to_;
   std::size_t new_subs_since_merge_ = 0;
@@ -475,8 +454,8 @@ class Broker {
   std::vector<const Path*> batch_paths_;
   /// Reused across batches: hop-vector capacity circulates between this
   /// buffer and the scheduler's per-slot buffers (see
-  /// MatchScheduler::match_batch), so the steady state allocates nothing.
-  std::vector<MatchScheduler::MatchResult> batch_results_;
+  /// MatchScheduler::finish_batch), so the steady state allocates nothing.
+  std::vector<PrtMatch> batch_results_;
 };
 
 }  // namespace xroute

@@ -39,11 +39,6 @@ std::string BrokerOptions::validate() const {
     return "match_threads " + std::to_string(match_threads) +
            " exceeds the supported maximum of " + std::to_string(kMaxThreads);
   }
-  if (match_threads > 1 && shard_count != 0 && shard_count < match_threads) {
-    return "shard_count " + std::to_string(shard_count) + " < match_threads " +
-           std::to_string(match_threads) +
-           " would leave workers idle; use shards >= threads (or 0 = auto)";
-  }
   if (merging_enabled && !use_covering) {
     return "merging requires covering (the merge pass runs on the "
            "subscription tree)";
@@ -82,9 +77,6 @@ std::string BrokerOptions::parse_option(const std::string& key,
   }
   if (key == "threads") {
     return parse_size(value, &options.match_threads) ? "" : bad_size();
-  }
-  if (key == "shards") {
-    return parse_size(value, &options.shard_count) ? "" : bad_size();
   }
   return "unknown broker option '" + key + "'";
 }

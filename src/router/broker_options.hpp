@@ -35,14 +35,6 @@ struct BrokerOptions {
   /// simulated time, which a pool would perturb); the transport broker
   /// takes any validated value.
   std::size_t match_threads = 1;
-  /// PRT shards for the parallel engine; 0 = auto (2x match_threads).
-  /// Ignored when match_threads == 1.
-  std::size_t shard_count = 0;
-
-  /// Effective shard count after defaulting.
-  std::size_t effective_shards() const {
-    return shard_count != 0 ? shard_count : 2 * match_threads;
-  }
 
   /// Applies one textual knob; returns an empty string on success, else a
   /// one-line error. This is THE option parser: `xroutectl --option`
@@ -54,7 +46,6 @@ struct BrokerOptions {
   ///   advertisements, covering, track_covered, merging  booleans
   ///   merge_interval                                    size_t > 0
   ///   threads                                           match_threads
-  ///   shards                                            shard_count
   std::string parse_option(const std::string& key, const std::string& value);
 
   /// Applies a "key=value" spelling (CLI convenience); same errors.

@@ -38,9 +38,8 @@ inline std::uint64_t thread_cpu_ns() {
 /// per epoch before the pool sleeps.
 constexpr int kSpinIterations = 8192;
 
-/// grid_ descriptor layout: epoch<<32 | batch-bit | task count.
-constexpr std::uint64_t kGridBatchBit = 1ull << 31;
-constexpr std::uint64_t kGridCountMask = kGridBatchBit - 1;
+/// grid_ descriptor layout: epoch<<32 | task count.
+constexpr std::uint64_t kGridCountMask = (1ull << 32) - 1;
 
 constexpr std::uint32_t epoch_tag(std::uint64_t word) {
   return static_cast<std::uint32_t>(word >> 32);
@@ -48,23 +47,21 @@ constexpr std::uint32_t epoch_tag(std::uint64_t word) {
 
 }  // namespace
 
-MatchScheduler::MatchScheduler(Options options) : options_(options) {
-  if (options_.threads < 1) options_.threads = 1;
-  if (options_.shards < 1) options_.shards = 1;
+MatchScheduler::MatchScheduler(std::size_t threads) {
+  if (threads < 1) threads = 1;
   // Spinning for the next epoch only pays when the pool and the control
   // thread can actually run at once; on a core-starved machine a spinning
   // waiter steals the very core the work needs, so park immediately.
   const unsigned cores = std::thread::hardware_concurrency();
-  spin_iterations_ =
-      cores > options_.threads ? kSpinIterations : 0;
-  queues_.reserve(options_.threads);
-  stats_.reserve(options_.threads);
-  for (std::size_t i = 0; i < options_.threads; ++i) {
+  spin_iterations_ = cores > threads ? kSpinIterations : 0;
+  queues_.reserve(threads);
+  stats_.reserve(threads);
+  for (std::size_t i = 0; i < threads; ++i) {
     queues_.push_back(std::make_unique<WorkQueue>());
     stats_.push_back(std::make_unique<AtomicWorkerStats>());
   }
-  workers_.reserve(options_.threads);
-  for (std::size_t i = 0; i < options_.threads; ++i) {
+  workers_.reserve(threads);
+  for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
@@ -86,11 +83,10 @@ void MatchScheduler::worker_loop(std::size_t worker_index) {
   std::uint64_t seen_generation = 0;
   // Private scratch, reused across every epoch this worker serves: the
   // interned symbols, the distinct-symbol list and the match cell all
-  // keep their capacity, so a steady-state batch task allocates only its
-  // exact-size result vector.
+  // keep their capacity.
   std::vector<std::uint32_t> symbols;
   std::vector<std::uint32_t> distinct;
-  Prt::ShardMatch cell;
+  PrtMatch cell;
   for (;;) {
     // Wait for the next epoch: spin first (under batch load the next grid
     // is published within microseconds of the last one draining), then
@@ -124,8 +120,6 @@ void MatchScheduler::worker_loop(std::size_t worker_index) {
     // of letting it read a half-staged grid.
     const std::uint64_t grid = grid_.load(std::memory_order_relaxed);
     if (epoch_tag(grid) != static_cast<std::uint32_t>(gen)) continue;
-    const bool batch = (grid & kGridBatchBit) != 0;
-    const std::size_t shards = options_.shards;
     const std::size_t queue_count = queues_.size();
 
     // Drain the queues: own queue first (uncontended CAS on a private
@@ -134,11 +128,11 @@ void MatchScheduler::worker_loop(std::size_t worker_index) {
     // Accounting is per drain, not per task: a task can be tiny, so
     // per-task clock reads would rival the work itself.
     //
-    // epoch_snapshot_ is a plain member, fetched lazily after the first
+    // epoch_index_ is a plain member, fetched lazily after the first
     // successful claim: a claim for `gen` can only succeed after staging
     // for `gen` restamped the cursors (the CAS is an RMW and sees the
     // latest value in modification order, so stale-generation claims
-    // always fail), and the control thread set epoch_snapshot_ strictly
+    // always fail), and the control thread set epoch_index_ strictly
     // before publishing `gen` — so the read below never overlaps a write.
     const PrtIndex* index = nullptr;
     std::uint64_t claimed = 0;
@@ -155,26 +149,18 @@ void MatchScheduler::worker_loop(std::size_t worker_index) {
                                                 std::memory_order_relaxed)) {
           continue;  // word was reloaded by the failed CAS
         }
-        if (!index) index = epoch_snapshot_->index().get();
-        if (batch) {
-          // One publication: intern into worker scratch (the symbol table
-          // only grows and its lookups take a shared lock), match against
-          // the whole pinned index in a single call — the very routine a
-          // sequential broker runs inline — and merge in place, all off
-          // the control thread.
-          Pub& pub = pubs_[task];
-          index->match(intern_path(*pub.src, symbols), &distinct, &cell);
-          pub.result.hops.assign(cell.hops.begin(), cell.hops.end());
-          pub.result.merger_false_matches = cell.merger_false_matches;
-          pub.result.comparisons = cell.comparisons;
-        } else {
-          // One shard of the single staged publication: latency-parallel
-          // matching for the per-message path.
-          Pub& pub = pubs_.front();
-          pub.per_shard[task].clear();
-          index->match_shard(pub.ip->view(), pub.distinct_symbols, task,
-                             shards, &pub.per_shard[task]);
-        }
+        if (!index) index = epoch_index_.get();
+        // One publication: intern into worker scratch (the symbol table
+        // only grows and its lookups take a shared lock) and match it
+        // against the whole pinned index in a single call — the very
+        // routine a sequential broker runs inline — all off the control
+        // thread. The scan writes the private cell; the slot array,
+        // whose neighbouring slots other workers fill, is written once.
+        index->match(intern_path(*paths_[task], symbols), &distinct, &cell);
+        PrtMatch& slot = results_[task];
+        slot.hops.assign(cell.hops.begin(), cell.hops.end());
+        slot.merger_false_matches = cell.merger_false_matches;
+        slot.comparisons = cell.comparisons;
         ++claimed;
         if (offset != 0) ++stolen;
         word = queue.cursor.load(std::memory_order_relaxed);
@@ -205,17 +191,13 @@ std::uint64_t MatchScheduler::begin_staging() {
   // The previous epoch's completion wait saw tasks_done_ == task_count_
   // (acquire), so every claim was processed and no claim below a queue's
   // end can succeed again; restamping the cursors with the next epoch's
-  // tag then voids stale claim attempts entirely. After this, pubs_ and
-  // the routing tables are exclusively the control thread's.
+  // tag then voids stale claim attempts entirely. After this, the slots
+  // are exclusively the control thread's.
   const std::uint64_t gen = generation_.load(std::memory_order_relaxed) + 1;
   for (auto& queue : queues_) {
     queue->cursor.store(gen << 32, std::memory_order_relaxed);
     queue->end.store(0, std::memory_order_relaxed);
   }
-  // pubs_ slots are recycled across epochs (only the first task_count_
-  // are ever staged or read), so their hop/scratch capacity survives —
-  // the steady-state epoch performs no allocation and, crucially, no
-  // cross-thread free of worker-written result vectors.
   for (auto& stats : stats_) {
     stats->epoch_busy_ns.store(0, std::memory_order_relaxed);
   }
@@ -238,7 +220,7 @@ void MatchScheduler::stage_queues(std::uint64_t gen, std::size_t count) {
 }
 
 void MatchScheduler::launch_epoch(std::uint64_t gen) {
-  // epoch_snapshot_ was set by the caller; the generation release store
+  // epoch_index_ was set by the caller; the generation release store
   // is what publishes it (and the staged grid) to the waking workers.
   tasks_done_.store(0, std::memory_order_relaxed);
   generation_.store(gen, std::memory_order_release);
@@ -275,49 +257,14 @@ void MatchScheduler::wait_epoch() {
   }
   critical_path_ns_.fetch_add(max_busy, std::memory_order_relaxed);
   // Drop the pin: every worker finished its drain before the last
-  // tasks_done_ release, so nobody reads epoch_snapshot_ any more. If
-  // newer snapshots were published mid-epoch, this release is what
-  // retires the old one.
-  epoch_snapshot_.reset();
+  // tasks_done_ release, so nobody reads epoch_index_ any more. If the
+  // table refreshed its index mid-epoch, this release is what frees the
+  // old one.
+  epoch_index_.reset();
 }
 
-MatchScheduler::MatchResult MatchScheduler::merge_pub(const Pub& pub) const {
-  // Concatenate in shard order, then canonicalize: the sorted result is
-  // independent of which worker ran which shard.
-  MatchResult out;
-  std::size_t total = 0;
-  for (const Prt::ShardMatch& shard : pub.per_shard) total += shard.hops.size();
-  out.hops.reserve(total);
-  for (const Prt::ShardMatch& shard : pub.per_shard) {
-    out.hops.insert(out.hops.end(), shard.hops.begin(), shard.hops.end());
-    out.merger_false_matches += shard.merger_false_matches;
-    out.comparisons += shard.comparisons;
-  }
-  PrtIndex::canonicalize_hops(&out.hops);
-  return out;
-}
-
-MatchScheduler::MatchResult MatchScheduler::match_one(
-    const Path& path, std::shared_ptr<const RoutingSnapshot> snapshot) {
-  const std::uint64_t gen = begin_staging();
-  if (pubs_.empty()) pubs_.resize(1);
-  Pub& pub = pubs_.front();
-  pub.src = &path;
-  pub.ip.emplace(path);
-  PrtIndex::distinct_symbols(pub.ip->view(), &pub.distinct_symbols);
-  pub.per_shard.resize(options_.shards);
-  stage_queues(gen, options_.shards);
-  grid_.store(gen << 32 | static_cast<std::uint64_t>(task_count_),
-              std::memory_order_relaxed);
-  epoch_snapshot_ = std::move(snapshot);
-  launch_epoch(gen);
-  wait_epoch();
-  return merge_pub(pubs_.front());
-}
-
-void MatchScheduler::begin_batch(
-    const std::vector<const Path*>& paths,
-    std::shared_ptr<const RoutingSnapshot> snapshot) {
+void MatchScheduler::begin_batch(const std::vector<const Path*>& paths,
+                                 std::shared_ptr<const PrtIndex> index) {
   if (batch_pending_) {
     throw std::logic_error("begin_batch: batch already in flight");
   }
@@ -325,17 +272,16 @@ void MatchScheduler::begin_batch(
   pending_count_ = paths.size();
   if (paths.empty()) return;
   const std::uint64_t gen = begin_staging();
-  if (pubs_.size() < paths.size()) pubs_.resize(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) pubs_[i].src = paths[i];
+  paths_.assign(paths.begin(), paths.end());
+  if (results_.size() < paths.size()) results_.resize(paths.size());
   stage_queues(gen, paths.size());
-  grid_.store(gen << 32 | kGridBatchBit |
-                  static_cast<std::uint64_t>(task_count_),
+  grid_.store(gen << 32 | static_cast<std::uint64_t>(task_count_),
               std::memory_order_relaxed);
-  epoch_snapshot_ = std::move(snapshot);
+  epoch_index_ = std::move(index);
   launch_epoch(gen);
 }
 
-void MatchScheduler::finish_batch(std::vector<MatchResult>* out) {
+void MatchScheduler::finish_batch(std::vector<PrtMatch>* out) {
   if (!batch_pending_) {
     throw std::logic_error("finish_batch: no batch in flight");
   }
@@ -349,14 +295,10 @@ void MatchScheduler::finish_batch(std::vector<MatchResult>* out) {
   wait_epoch();
   out->resize(count);
   for (std::size_t i = 0; i < count; ++i) {
-    MatchResult& dst = (*out)[i];
-    Pub& pub = pubs_[i];
     // Swap, don't move: the slot inherits the caller's previous hop
     // buffer, so capacity circulates between the two sides and neither
     // thread frees memory the other allocated.
-    dst.hops.swap(pub.result.hops);
-    dst.merger_false_matches = pub.result.merger_false_matches;
-    dst.comparisons = pub.result.comparisons;
+    std::swap((*out)[i], results_[i]);
   }
 }
 

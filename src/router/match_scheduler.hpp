@@ -1,24 +1,21 @@
 // MatchScheduler — the parallel publication-matching engine.
 //
 // Publication matching is the broker's hot path and is embarrassingly
-// parallel over the PRT's compiled index (PrtIndex): its buckets
-// partition entries by their discriminating symbol, and symbol_shard()
-// partitions those buckets into `shards` disjoint groups. A worker
-// matching shard k visits exactly the entries of its buckets — no locks,
-// no shared mutable state — and the union over all shards is provably
-// the whole-table match a sequential broker runs inline, with identical
-// comparison counts.
+// parallel across publications: each one is matched whole against the
+// PRT's compiled index (PrtIndex), the same immutable bucket map and the
+// same kernel a sequential broker runs inline — no locks, no shared
+// mutable state, identical comparison counts.
 //
 // The scheduler owns a fixed pool of worker threads and runs *epochs*: the
-// control thread (the broker's single writer) pins an immutable
-// RoutingSnapshot (router/routing_snapshot.hpp), publishes a task range,
-// and wakes the pool. Workers match against the pinned snapshot only —
-// never the live routing tables — so the control thread is free to keep
-// mutating those tables *while the epoch runs*; there is no quiesce
-// barrier on the control path any more. The snapshot stays alive (plain
+// control thread (the broker's single writer) stages a batch of
+// publications, pins the compiled index it took from Prt::index() (a
+// shared_ptr), and wakes the pool. Workers match against the pinned index
+// only — never the live routing tables — so the control thread is free to
+// keep mutating those tables *while the epoch runs*; there is no quiesce
+// barrier on the control path. The pinned index stays alive (plain
 // shared_ptr refcounting) until the epoch's completion wait drops the
 // pin. Tasks are distributed via per-worker run queues:
-// the control thread splits the task range into one contiguous chunk per
+// the control thread splits the batch into one contiguous chunk per
 // worker, each worker drains its own queue (an uncontended CAS on its own
 // cache line), and a worker that runs dry steals from the other queues —
 // so a skewed batch (one expensive publication) still finishes at the
@@ -28,16 +25,15 @@
 // epochs arrive back to back, and futex wake/park latency would otherwise
 // rival the matching work itself.
 //
-// Each worker keeps private scratch (symbol buffers, a reusable
-// ShardMatch cell) across epochs, so the steady-state batch path performs
-// no heap allocation beyond the per-publication result vectors handed
-// back to the broker.
+// Each worker keeps private scratch (symbol buffers, a match cell) across
+// epochs and copies each result into the publication's slot, whose hop
+// storage circulates with the caller's (finish_batch), so the
+// steady-state batch path performs no heap allocation.
 //
-// Determinism: per-shard hop lists are concatenated, sorted and
-// deduplicated (by the worker that matched the publication, or by the
-// control thread for single-publication epochs), and the broker's forward
-// loop iterates the sorted result — so the emitted forward sequence is
-// byte-identical at any thread count (tests/parallel_test).
+// Determinism: each publication's hop list comes out of PrtIndex::match
+// sorted and deduplicated, and the broker's forward loop iterates it in
+// that order — so the emitted forward sequence is byte-identical at any
+// thread count (tests/parallel_test).
 #pragma once
 
 #include <atomic>
@@ -45,12 +41,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "router/iface.hpp"
-#include "router/routing_snapshot.hpp"
 #include "router/routing_tables.hpp"
 #include "xml/paths.hpp"
 
@@ -58,21 +52,6 @@ namespace xroute {
 
 class MatchScheduler {
  public:
-  struct Options {
-    std::size_t threads = 2;
-    std::size_t shards = 4;
-  };
-
-  /// The merged result for one publication path — the same facts the
-  /// sequential match stage produces. `hops` is sorted ascending and
-  /// deduplicated, i.e. exactly the iteration order of the IfaceSet the
-  /// sequential path builds.
-  struct MatchResult {
-    std::vector<IfaceId> hops;
-    std::size_t merger_false_matches = 0;
-    std::size_t comparisons = 0;
-  };
-
   /// Monotonic per-worker counters (metrics export; relaxed reads).
   /// busy_ns is thread-CPU time (CLOCK_THREAD_CPUTIME_ID), not wall
   /// clock, so it stays honest when workers outnumber cores.
@@ -82,59 +61,34 @@ class MatchScheduler {
     std::uint64_t steals = 0;
   };
 
-  /// `options.threads >= 1`, `options.shards >= 1`
-  /// (BrokerOptions::validate() enforces sane combinations upstream).
-  explicit MatchScheduler(Options options);
+  /// `threads >= 1` (BrokerOptions::validate() enforces it upstream).
+  explicit MatchScheduler(std::size_t threads);
   ~MatchScheduler();
   MatchScheduler(const MatchScheduler&) = delete;
   MatchScheduler& operator=(const MatchScheduler&) = delete;
 
-  /// Matches one publication path across all shards (one epoch) against
-  /// `snapshot`. Blocks until done; the caller must be the broker's
-  /// single control thread.
-  MatchResult match_one(const Path& path,
-                        std::shared_ptr<const RoutingSnapshot> snapshot);
-
-  /// Launches a batch epoch (one task per publication) pinned to
-  /// `snapshot` and returns immediately: the control thread is free to
-  /// apply control-plane ops — including publishing newer snapshots —
-  /// while the workers match. Pair with finish_batch().
+  /// Launches a batch epoch (one task per publication) pinned to `index`
+  /// and returns immediately: the control thread is free to mutate the
+  /// routing tables while the workers match — the pinned index itself
+  /// never changes. Pair with finish_batch().
   void begin_batch(const std::vector<const Path*>& paths,
-                   std::shared_ptr<const RoutingSnapshot> snapshot);
+                   std::shared_ptr<const PrtIndex> index);
 
   /// Blocks until the epoch launched by begin_batch() drains, then fills
-  /// `out` ((*out)[i] corresponds to paths[i]) and drops the snapshot
+  /// `out` ((*out)[i] corresponds to paths[i]) and drops the index
   /// pin. `out` is resized to the batch and its entries' hop storage is
   /// recycled via swap with the internal per-slot buffers, so a caller
   /// that reuses the same vector across batches reaches a steady state
   /// with no allocation — and no cross-thread free of worker-allocated
   /// hop vectors on the control thread, which showed up as malloc arena
   /// traffic per publication.
-  void finish_batch(std::vector<MatchResult>* out);
+  void finish_batch(std::vector<PrtMatch>* out);
 
-  /// begin_batch + finish_batch back to back (no overlapped control ops).
-  void match_batch(const std::vector<const Path*>& paths,
-                   std::shared_ptr<const RoutingSnapshot> snapshot,
-                   std::vector<MatchResult>* out) {
-    begin_batch(paths, std::move(snapshot));
-    finish_batch(out);
-  }
-
-  bool batch_in_flight() const { return batch_pending_; }
-  /// Version of the currently pinned snapshot, 0 if none. Control thread
-  /// only (tests).
-  std::uint64_t pinned_version() const {
-    return epoch_snapshot_ ? epoch_snapshot_->version() : 0;
-  }
-
-  std::size_t threads() const { return options_.threads; }
-  std::size_t shards() const { return options_.shards; }
   /// Epochs run since construction.
   std::uint64_t epochs() const {
     return epochs_.load(std::memory_order_relaxed);
   }
-  /// Tasks executed since construction (one publication in a batch epoch,
-  /// one shard of the publication in a single-publication epoch).
+  /// Tasks (publications) matched since construction.
   std::uint64_t total_tasks() const;
   std::vector<WorkerStats> worker_stats() const;
   /// Tasks claimed from another worker's queue since construction.
@@ -149,24 +103,6 @@ class MatchScheduler {
   }
 
  private:
-  /// Per-publication epoch state. Single-publication epochs intern the
-  /// path up front and shard it across the pool (one cell per shard,
-  /// each written by exactly one task). Batch epochs stage only the path
-  /// pointer: the claiming worker interns into its private scratch,
-  /// matches the whole table in one call, and folds straight into
-  /// `result` — interning, matching, and merging all parallelise, and
-  /// the control thread's staging cost per publication is one pointer.
-  struct Pub {
-    Pub() = default;
-    /// Batch shell: everything else happens on the claiming worker.
-    explicit Pub(const Path* p) : src(p) {}
-    const Path* src = nullptr;
-    std::optional<InternedPath> ip;
-    std::vector<std::uint32_t> distinct_symbols;
-    std::vector<Prt::ShardMatch> per_shard;
-    MatchResult result;
-  };
-
   /// One per worker, cache-line isolated: the owner claims with an
   /// uncontended CAS; thieves CAS the same word only after their own
   /// queue is dry. The epoch tag embedded in `cursor` makes claims from
@@ -182,11 +118,11 @@ class MatchScheduler {
 
   void worker_loop(std::size_t worker_index);
   /// Publishes the staged queues as epoch `gen` and wakes the pool.
-  /// epoch_snapshot_ must be set before this call: the generation store
+  /// epoch_index_ must be set before this call: the generation store
   /// is the release that makes it visible to the workers.
   void launch_epoch(std::uint64_t gen);
   /// Blocks until every task of the running epoch is done and drops the
-  /// snapshot pin. Afterwards pubs_ and the queues are exclusively the
+  /// index pin. Afterwards the slots and the queues are exclusively the
   /// control thread's again.
   void wait_epoch();
   /// Restamps the queues for the upcoming epoch; returns the new epoch
@@ -194,31 +130,32 @@ class MatchScheduler {
   std::uint64_t begin_staging();
   /// Splits [0, count) contiguously across the worker queues.
   void stage_queues(std::uint64_t gen, std::size_t count);
-  MatchResult merge_pub(const Pub& pub) const;
 
-  Options options_;
-
-  // Epoch state. The control thread stages pubs_ and the queues between
-  // epochs (no claim can succeed then), publishes the grid descriptor,
-  // and finally bumps generation_. Batch epochs: task = publication
-  // index (full-table match, worker merges). Single-pub epochs: task =
-  // shard index (control thread merges).
-  std::vector<Pub> pubs_;
+  // Epoch state. The control thread stages the slots and the queues
+  // between epochs (no claim can succeed then), publishes the grid
+  // descriptor, and finally bumps generation_. Task i is publication i:
+  // the claiming worker interns and matches paths_[i] in its private
+  // scratch and fills results_[i], so the control thread's staging cost
+  // per publication is one pointer. Slots are recycled across epochs
+  // (only the first task_count_ are staged or read), so their hop
+  // capacity survives.
+  std::vector<const Path*> paths_;
+  std::vector<PrtMatch> results_;
   std::size_t task_count_ = 0;  ///< control thread only
-  /// The snapshot this epoch matches against. Written by the control
+  /// The index this epoch matches against. Written by the control
   /// thread strictly before the generation_ release store; read by
   /// workers only after a successful task claim for that generation (a
   /// claim can only succeed after staging restamped the cursors, and the
   /// control thread never restages before the completion wait returns) —
   /// so plain, non-atomic access is race-free. Reset at wait_epoch() end;
-  /// between begin_batch and finish_batch it carries the pin that keeps a
-  /// retired snapshot alive while newer ones are published.
-  std::shared_ptr<const RoutingSnapshot> epoch_snapshot_;
+  /// between begin_batch and finish_batch it carries the pin that keeps
+  /// the index alive while control ops refresh the table's own.
+  std::shared_ptr<const PrtIndex> epoch_index_;
   bool batch_pending_ = false;    ///< control thread only
   std::size_t pending_count_ = 0; ///< control thread only
   std::vector<std::unique_ptr<WorkQueue>> queues_;
-  /// epoch<<32 | kGridBatchBit? | task count — the grid descriptor
-  /// workers read instead of racing on plain members.
+  /// epoch<<32 | task count — the grid descriptor workers read instead
+  /// of racing on plain members.
   std::atomic<std::uint64_t> grid_{0};
   std::atomic<std::size_t> tasks_done_{0};
 

@@ -173,13 +173,13 @@ void Prt::note_flat_dirty(const Xpe& xpe) {
   flat_dirty_keys_.insert(SubscriptionTree::bucket_key(xpe));
 }
 
-void Prt::match(const Path& path, ShardMatch* out) const {
+void Prt::match(const Path& path, PrtMatch* out) const {
   index()->match(intern_path(path, match_symbols_), &match_distinct_, out);
   match_comparisons_ += out->comparisons;
 }
 
 IfaceSet Prt::match_hops(const Path& path) const {
-  ShardMatch result;
+  PrtMatch result;
   match(path, &result);
   return IfaceSet(result.hops.begin(), result.hops.end());
 }
@@ -376,7 +376,7 @@ const std::shared_ptr<const PrtIndex>& Prt::index() const {
 PrtIndex::PrtIndex() : side_(std::make_shared<const PrtBucket>()) {}
 
 void PrtIndex::scan_bucket(const PrtBucket& bucket, const PathView& ip,
-                           Prt::ShardMatch* out) {
+                           PrtMatch* out) {
   // One comparison per reached entry; failed subtrees are skipped
   // wholesale via the backpatched offsets.
   const std::uint32_t* w = bucket.words.data();
@@ -412,15 +412,11 @@ void PrtIndex::scan_bucket(const PrtBucket& bucket, const PathView& ip,
   }
 }
 
-void PrtIndex::match_shard(const PathView& ip,
-                           std::span<const std::uint32_t> distinct_symbols,
-                           std::size_t shard, std::size_t shard_count,
-                           Prt::ShardMatch* out) const {
-  if (shard == 0) scan_bucket(*side_, ip, out);
+void PrtIndex::scan(const PathView& ip,
+                    std::span<const std::uint32_t> distinct_symbols,
+                    PrtMatch* out) const {
+  scan_bucket(*side_, ip, out);
   for (std::uint32_t sym : distinct_symbols) {
-    if (symbol_shard(sym, static_cast<std::uint32_t>(shard_count)) != shard) {
-      continue;
-    }
     auto it = buckets_.find(sym);
     if (it == buckets_.end()) continue;
     scan_bucket(*it->second, ip, out);
@@ -428,10 +424,10 @@ void PrtIndex::match_shard(const PathView& ip,
 }
 
 void PrtIndex::match(const PathView& ip, std::vector<std::uint32_t>* distinct,
-                     Prt::ShardMatch* out) const {
+                     PrtMatch* out) const {
   distinct_symbols(ip, distinct);
   out->clear();
-  match_shard(ip, *distinct, 0, 1, out);
+  scan(ip, *distinct, out);
   canonicalize_hops(&out->hops);
 }
 

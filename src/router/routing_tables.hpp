@@ -139,6 +139,28 @@ struct PrtBucket {
   friend bool operator==(const PrtBucket&, const PrtBucket&) = default;
 };
 
+/// The result of one match against the compiled PRT: what a sequential
+/// broker's match stage, a batch epoch's worker and the tests all read.
+struct PrtMatch {
+  /// Matching hops. PrtIndex::match leaves them sorted ascending and
+  /// deduplicated; PrtIndex::scan appends them in visit order with
+  /// duplicates (deferring the dedup to one sort+unique replaces a
+  /// per-node red-black-tree insert on the hottest loop). clear() keeps
+  /// the capacity, so a reused PrtMatch allocates nothing at steady state.
+  std::vector<IfaceId> hops;
+  /// Matches against merger entries not backed by any merged original
+  /// (covering mode; the paper's in-network false positives, Fig. 9).
+  std::size_t merger_false_matches = 0;
+  /// Comparison tests performed.
+  std::size_t comparisons = 0;
+
+  void clear() {
+    hops.clear();
+    merger_false_matches = 0;
+    comparisons = 0;
+  }
+};
+
 class PrtIndex;
 
 /// Publication routing table: subscription-tree or flat, behind one
@@ -156,26 +178,6 @@ class Prt {
     bool was_new = false;
     bool covered = false;
     std::vector<Xpe> now_covered;
-  };
-
-  /// The result of one match (or one shard of it).
-  struct ShardMatch {
-    /// Matching hops, appended in visit order WITH duplicates: deferring
-    /// the dedup to one sort+unique at merge time replaces a per-node
-    /// red-black-tree insert on the hottest loop. clear() keeps the
-    /// capacity, so a reused ShardMatch allocates nothing at steady state.
-    std::vector<IfaceId> hops;
-    /// Matches against merger entries not backed by any merged original
-    /// (covering mode; the paper's in-network false positives, Fig. 9).
-    std::size_t merger_false_matches = 0;
-    /// Comparison tests performed.
-    std::size_t comparisons = 0;
-
-    void clear() {
-      hops.clear();
-      merger_false_matches = 0;
-      comparisons = 0;
-    }
   };
 
   /// Compile counters of the lazy index refresh (tests, bench/churn).
@@ -201,7 +203,7 @@ class Prt {
   /// Matches `path` against index() on the calling thread: `out` is
   /// cleared, then filled with the hops sorted ascending and
   /// deduplicated, and the comparisons are folded into comparisons().
-  void match(const Path& path, ShardMatch* out) const;
+  void match(const Path& path, PrtMatch* out) const;
   /// Destination hops of every subscription matching `path`.
   IfaceSet match_hops(const Path& path) const;
 
@@ -294,20 +296,17 @@ class PrtIndex {
 
   PrtIndex();
 
-  /// Matches `ip` against shard `shard` of `shard_count`: the buckets of
-  /// the path's distinct symbols, partitioned by symbol_shard(); shard 0
-  /// additionally owns the side bucket. Visits the side bucket first,
-  /// then the buckets in first-occurrence order of the path's symbols;
-  /// one comparison per reached entry. Appends into `out`.
-  void match_shard(const PathView& ip,
-                   std::span<const std::uint32_t> distinct_symbols,
-                   std::size_t shard, std::size_t shard_count,
-                   Prt::ShardMatch* out) const;
+  /// Appends the hops of every entry matching `ip` into `out`, in visit
+  /// order and with duplicates: the side bucket first, then the buckets
+  /// of `distinct_symbols` in order; one comparison per reached entry.
+  void scan(const PathView& ip,
+            std::span<const std::uint32_t> distinct_symbols,
+            PrtMatch* out) const;
 
-  /// Whole-table match (shard 0 of 1): clears `out`, fills it and sorts
-  /// and deduplicates its hops. `distinct` is caller scratch.
+  /// Whole-table match: clears `out`, scans, and sorts and deduplicates
+  /// its hops. `distinct` is caller scratch.
   void match(const PathView& ip, std::vector<std::uint32_t>* distinct,
-             Prt::ShardMatch* out) const;
+             PrtMatch* out) const;
 
   /// Deduplicated symbol list of `ip` in first-occurrence order (elements
   /// no XPE ever interned are dropped: no bucket can hold them).
@@ -327,7 +326,7 @@ class PrtIndex {
   /// The match kernel: walks one compiled bucket, visiting every entry
   /// whose XPE matches `ip` and skipping failed subtrees wholesale.
   static void scan_bucket(const PrtBucket& bucket, const PathView& ip,
-                          Prt::ShardMatch* out);
+                          PrtMatch* out);
 
   std::unordered_map<std::uint32_t, BucketPtr> buckets_;
   /// All-wildcard subscriptions (no discriminating symbol); always

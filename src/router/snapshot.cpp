@@ -78,7 +78,7 @@ void save_snapshot(const Broker& broker, std::ostream& out) {
     });
   }
 
-  for (const auto& [interface_id, xpes] : broker.client_tables()) {
+  for (const auto& [interface_id, xpes] : broker.edge().client_subs) {
     out << "client\t" << interface_id.value();
     for (const Xpe& xpe : xpes) out << '\t' << xpe.to_string();
     out << '\n';
@@ -96,7 +96,8 @@ void save_snapshot(const Broker& broker, std::ostream& out) {
 
 void load_snapshot(Broker& broker, std::istream& in) {
   if (broker.srt_size() > 0 || broker.prt_size() > 0 ||
-      !broker.client_tables().empty() || !broker.forwarding_record().empty()) {
+      !broker.edge().client_subs.empty() ||
+      !broker.forwarding_record().empty()) {
     throw std::logic_error(
         "load_snapshot: broker already holds routing state; restore "
         "requires a freshly constructed broker");

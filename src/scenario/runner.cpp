@@ -155,7 +155,7 @@ class Runner {
 
   const Scenario& scenario_;
   ScenarioReport report_;
-  Broker::Config config_;
+  BrokerOptions config_;
   Topology topology_;
   std::map<int, Node> nodes_;
   /// Edge session layers, one per broker named by a `clients` directive.

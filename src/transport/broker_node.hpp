@@ -51,7 +51,7 @@ class TransportBroker {
  public:
   struct Options {
     int id = 0;
-    Broker::Config config;
+    BrokerOptions config;
     /// 0 = ephemeral (port() reports the bound one).
     std::uint16_t listen_port = 0;
     Connection::Options connection;

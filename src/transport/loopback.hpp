@@ -23,7 +23,7 @@ namespace xroute::transport {
 class LoopbackOverlay {
  public:
   struct Options {
-    Broker::Config config;
+    BrokerOptions config;
     Connection::Options connection;
     bool force_poll = false;
   };

@@ -11,8 +11,8 @@
 // document parses with zero heap traffic.
 //
 // Not thread-safe: one arena belongs to one thread (that is the point —
-// per-worker arenas shard the allocator the way the match scheduler shards
-// the routing tables).
+// per-worker arenas shard the allocator, as each match worker keeps its
+// own scratch).
 #pragma once
 
 #include <cstddef>

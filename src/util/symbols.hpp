@@ -90,17 +90,4 @@ inline bool symbol_covers(std::uint32_t t, std::uint32_t m) {
   return t == SymbolTable::kWildcardId || t == m;
 }
 
-/// Shard ownership for the parallel matching engine: maps a symbol id to
-/// one of `shard_count` shards. Symbol ids are dense allocation order, so
-/// consecutive ids (often correlated vocabularies) are decorrelated with a
-/// multiplicative mix before the modulo; every index structure keyed by
-/// symbol shards the same way, keeping the per-shard candidate sets
-/// disjoint across the whole broker.
-inline std::uint32_t symbol_shard(std::uint32_t symbol,
-                                  std::uint32_t shard_count) {
-  std::uint32_t h = symbol * 0x9E3779B9u;
-  h ^= h >> 16;
-  return h % shard_count;
-}
-
 }  // namespace xroute

@@ -263,7 +263,7 @@ TEST(BroadcastSink, EnqueuesMatchedPublicationsOnce) {
 }
 
 TEST(BroadcastSink, DrainsFromBrokerMatcher) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker(0, config);
   broker.add_client(IfaceId{1});

@@ -1,12 +1,12 @@
-// Churn differential suite: the RCU snapshot control plane
-// (router/routing_snapshot.hpp) must leave the broker observationally
-// identical to the sequential oracle while subscribe/unsubscribe/
-// advertise churn interleaves with publications — the exact property the
-// quiesce barrier used to buy. Every workload here is a seeded random
-// interleaving of control and data messages replayed per-message and
-// through handle_batch() (whose batched epochs now *pipeline* control
-// ops into the match window), and the serialised sink streams must be
-// byte-identical at every thread count. On mismatch the failure is
+// Churn differential suite: the barrier-free control plane (epochs pin
+// the compiled PRT index, the edge state is copy-on-write) must leave the
+// broker observationally identical to the sequential oracle while
+// subscribe/unsubscribe/advertise churn interleaves with publications —
+// the exact property the quiesce barrier used to buy. Every workload
+// here is a seeded random interleaving of control and data messages
+// replayed per-message and through handle_batch() (whose batched epochs
+// now *pipeline* control ops into the match window), and the serialised
+// sink streams must be byte-identical at every thread count. On mismatch the failure is
 // shrunk to the shortest failing workload prefix so the diverging
 // message is named directly.
 #include <gtest/gtest.h>
@@ -145,16 +145,16 @@ Workload make_churn_workload(std::uint64_t seed, const ChurnOptions& opts) {
   return workload;
 }
 
-Broker::Config make_config(std::size_t threads, bool covering,
-                           bool advertisements) {
-  Broker::Config config;
+BrokerOptions make_config(std::size_t threads, bool covering,
+                          bool advertisements) {
+  BrokerOptions config;
   config.use_advertisements = advertisements;
   config.use_covering = covering;
   config.match_threads = threads;
   return config;
 }
 
-Broker make_broker(const Broker::Config& config) {
+Broker make_broker(const BrokerOptions& config) {
   Broker broker(0, config);
   for (IfaceId n : kNeighbors) broker.add_neighbor(n);
   for (IfaceId c : kClients) broker.add_client(c);
@@ -167,7 +167,7 @@ struct Replay {
 };
 
 /// Per-message replay of the first `count` workload items.
-Replay replay_prefix(const Workload& workload, const Broker::Config& config,
+Replay replay_prefix(const Workload& workload, const BrokerOptions& config,
                      std::size_t count) {
   Broker broker = make_broker(config);
   RecordingSink sink;
@@ -180,14 +180,14 @@ Replay replay_prefix(const Workload& workload, const Broker::Config& config,
   return result;
 }
 
-Replay replay(const Workload& workload, const Broker::Config& config) {
+Replay replay(const Workload& workload, const BrokerOptions& config) {
   return replay_prefix(workload, config, workload.size());
 }
 
 /// Replay through handle_batch() in fixed-size windows: runs of
 /// consecutive publications become pipelined epochs with the following
 /// control messages handled mid-flight.
-Replay replay_batched(const Workload& workload, const Broker::Config& config,
+Replay replay_batched(const Workload& workload, const BrokerOptions& config,
                       std::size_t batch_size) {
   Broker broker = make_broker(config);
   RecordingSink sink;
@@ -210,8 +210,8 @@ Replay replay_batched(const Workload& workload, const Broker::Config& config,
 /// found by binary search, then reported so the failure names one
 /// concrete message instead of a 200-op workload.
 std::string shrink_divergence(const Workload& workload,
-                              const Broker::Config& oracle,
-                              const Broker::Config& subject) {
+                              const BrokerOptions& oracle,
+                              const BrokerOptions& subject) {
   std::size_t lo = 1, hi = workload.size();
   while (lo < hi) {
     std::size_t mid = lo + (hi - lo) / 2;
@@ -245,14 +245,14 @@ TEST_P(ChurnDifferential, PerMessageStreamIsByteIdenticalAcrossThreads) {
   Workload workload = make_churn_workload(c.seed, opts);
   ASSERT_FALSE(workload.empty());
 
-  Broker::Config oracle = make_config(1, c.covering, c.advertisements);
+  BrokerOptions oracle = make_config(1, c.covering, c.advertisements);
   Replay sequential = replay(workload, oracle);
   ASSERT_FALSE(sequential.bytes.empty());
   ASSERT_GT(sequential.status.deliveries, 0u);
 
   for (std::size_t threads : {2, 4, 8}) {
-    Broker::Config config = make_config(threads, c.covering,
-                                        c.advertisements);
+    BrokerOptions config = make_config(threads, c.covering,
+                                       c.advertisements);
     Replay parallel = replay(workload, config);
     EXPECT_EQ(parallel.bytes, sequential.bytes)
         << "seed " << c.seed << ", " << threads << " threads: "
@@ -274,8 +274,8 @@ TEST_P(ChurnDifferential, PipelinedBatchesMatchThePerMessageOracle) {
       replay(workload, make_config(1, c.covering, c.advertisements));
 
   for (std::size_t threads : {1, 2, 4, 8}) {
-    Broker::Config config = make_config(threads, c.covering,
-                                        c.advertisements);
+    BrokerOptions config = make_config(threads, c.covering,
+                                       c.advertisements);
     for (std::size_t batch_size :
          {std::size_t{2}, std::size_t{7}, std::size_t{32},
           workload.size()}) {
@@ -314,9 +314,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ChurnCase{5, false, true}),
     churn_name);
 
-// The snapshot shard partition may not duplicate or skip match probes:
-// under churn the folded-back comparison counts stay in lockstep with
-// the sequential tables'.
+// The epochs' workers may not duplicate or skip match probes: under
+// churn the folded-back comparison counts stay in lockstep with the
+// sequential tables'.
 TEST(ChurnScheduler, ComparisonCountsStayInLockstepUnderChurn) {
   ChurnOptions opts;
   Workload workload = make_churn_workload(7, opts);
@@ -329,23 +329,21 @@ TEST(ChurnScheduler, ComparisonCountsStayInLockstepUnderChurn) {
   }
   EXPECT_EQ(par_sink.bytes, seq_sink.bytes);
   EXPECT_EQ(parallel.comparisons(), sequential.comparisons());
-  // Churn means the snapshot store actually turned over.
-  EXPECT_GT(parallel.snapshot_store().version(), 1u);
+  // Churn means the index actually recompiled.
   EXPECT_GT(parallel.prt().index_stats().builds, 1u);
 }
 
 // Control ops must complete while a batch epoch is in flight: a batch
 // whose publication run is followed by control messages processes those
-// messages inside the epoch. Publication coalesces — no epoch can pin
-// mid-window, so the window's ops ride a single snapshot build,
-// published when the next epoch pins — and that next epoch must already
-// match against the mid-epoch subscriptions.
+// messages inside the epoch. Compilation coalesces — no epoch can pin
+// mid-window, so the window's ops ride a single index build when the
+// next epoch pins — and that next epoch must already match against the
+// mid-epoch subscriptions.
 TEST(ChurnScheduler, ControlOpsCompleteMidEpoch) {
   Broker broker = make_broker(make_config(4, true, false));
   RecordingSink sink;
   const Xpe sub = parse_xpe("/news/article");
   broker.handle(kClients[0], Message::subscribe(sub), sink);
-  const std::uint64_t version_before = broker.snapshot_store().version();
 
   PublishMsg pub;
   pub.path = parse_path("/news/article");
@@ -360,10 +358,10 @@ TEST(ChurnScheduler, ControlOpsCompleteMidEpoch) {
   };
   Broker::HandleStatus status = broker.handle_batch(batch, sink);
   EXPECT_EQ(status.deliveries, 1u);
+  const std::uint64_t builds_before = broker.prt().index_stats().builds;
 
-  // The next batch pins the coalesced snapshot: exactly one version
-  // ahead, and the subscription that arrived mid-epoch is live for
-  // matching.
+  // The next batch pins the coalesced index: exactly one build, and the
+  // subscription that arrived mid-epoch is live for matching.
   PublishMsg pub2;
   pub2.path = parse_path("/news/sports");
   pub2.doc_id = 101;
@@ -373,7 +371,7 @@ TEST(ChurnScheduler, ControlOpsCompleteMidEpoch) {
   };
   status = broker.handle_batch(batch2, sink);
   EXPECT_EQ(status.deliveries, 1u);
-  EXPECT_EQ(broker.snapshot_store().version(), version_before + 1);
+  EXPECT_EQ(broker.prt().index_stats().builds, builds_before + 1);
 }
 
 }  // namespace

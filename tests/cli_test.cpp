@@ -117,9 +117,9 @@ std::string write_temp(const std::string& tag, const std::string& text) {
 
 TEST(XroutectlCli, ServeBrokerOptionErrorsAreUsageErrors) {
   std::string overlay = write_temp("overlay", "broker 0 127.0.0.1 45123\n");
-  // Bad knob value, unknown knob, malformed --option, invalid combination:
-  // all usage errors (exit 2) with the parser's message, before any socket
-  // is opened.
+  // Bad knob value, invalid value, unknown knobs, malformed --option: all
+  // usage errors (exit 2) with the parser's message, before any socket is
+  // opened.
   for (const char* args :
        {" 0 --threads zero", " 0 --threads 0", " 0 --option bogus=1",
         " 0 --option no-equals", " 0 --threads 4 --option shards=2"}) {

@@ -66,7 +66,7 @@ TEST(SimulatorUnadvertise, StopsSubscriptionRouting) {
 }
 
 TEST(BrokerDedup, SamePublicationProcessedOnce) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker(0, config);
   broker.add_neighbor(IfaceId{1});

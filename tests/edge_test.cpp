@@ -361,7 +361,7 @@ TEST(EdgeSuppression, SuppressedEventsCarryNoMessage) {
 <!ELEMENT a EMPTY><!ELEMENT b EMPTY>
 )");
   PathUniverse universe(dtd);
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   config.merging_enabled = true;
   config.merge_universe = &universe;

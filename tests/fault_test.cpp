@@ -26,8 +26,8 @@ namespace {
 /// Deterministic runs: measured wall-clock must not feed simulated time.
 Simulator::Options deterministic() { return Simulator::Options{0.0}; }
 
-Broker::Config no_adv_config() {
-  Broker::Config config;
+BrokerOptions no_adv_config() {
+  BrokerOptions config;
   config.use_advertisements = false;
   return config;
 }
@@ -336,7 +336,7 @@ SoakOutcome soak_run(int seed, bool faulted) {
   Topology topology = random_connected(brokers, 0, rng);  // random tree
 
   Simulator sim(deterministic());
-  Broker::Config config = no_adv_config();
+  BrokerOptions config = no_adv_config();
   for (std::size_t i = 0; i < brokers; ++i) sim.add_broker(config);
   for (auto [a, b] : topology.edges) sim.connect(a, b, LinkConfig{});
 

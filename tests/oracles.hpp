@@ -218,8 +218,8 @@ inline std::multiset<IfaceId> uncollapsed_hops(const Prt& prt,
   const InternedPath ip(path);
   std::vector<std::uint32_t> distinct;
   PrtIndex::distinct_symbols(ip.view(), &distinct);
-  Prt::ShardMatch match;
-  prt.index()->match_shard(ip.view(), distinct, 0, 1, &match);
+  PrtMatch match;
+  prt.index()->scan(ip.view(), distinct, &match);
   return {match.hops.begin(), match.hops.end()};
 }
 

@@ -147,8 +147,8 @@ Workload perturb(const Workload& workload, Fault fault, std::uint64_t seed) {
   return out;
 }
 
-Broker::Config config_with_threads(std::size_t threads, bool covering = true) {
-  Broker::Config config;
+BrokerOptions config_with_threads(std::size_t threads, bool covering = true) {
+  BrokerOptions config;
   config.use_advertisements = false;
   config.use_covering = covering;
   config.match_threads = threads;
@@ -162,7 +162,7 @@ struct Replay {
   Broker::HandleStatus status;
 };
 
-Replay replay(const Workload& workload, const Broker::Config& config) {
+Replay replay(const Workload& workload, const BrokerOptions& config) {
   Broker broker(0, config);
   for (IfaceId n : kNeighbors) broker.add_neighbor(n);
   for (IfaceId c : kClients) broker.add_client(c);
@@ -265,8 +265,8 @@ TEST(ParallelBatch, BatchedHandlingMatchesPerMessage) {
 }
 
 // The scheduler exists exactly when match_threads > 1, counts its epochs,
-// and its per-shard union reproduces the sequential comparison count
-// contract (comparisons are folded back into the PRT's counter).
+// and reproduces the sequential comparison count contract (comparisons
+// are folded back into the PRT's counter).
 TEST(ParallelScheduler, EpochsRunAndComparisonsFoldBack) {
   Workload workload = make_workload(5, /*subscriptions=*/60, /*publications=*/40);
   Broker sequential(0, config_with_threads(1));
@@ -285,21 +285,19 @@ TEST(ParallelScheduler, EpochsRunAndComparisonsFoldBack) {
   }
   EXPECT_EQ(par_sink.bytes, seq_sink.bytes);
   EXPECT_GT(parallel.scheduler()->epochs(), 0u);
-  EXPECT_GT(parallel.scheduler()->total_tasks(),
+  // handle() matches a publication as a batch of one: one task per epoch.
+  EXPECT_EQ(parallel.scheduler()->total_tasks(),
             parallel.scheduler()->epochs());
-  // Identical work, identical match-test counts: the shard partition may
-  // not duplicate or skip index probes.
+  // Identical work, identical match-test counts: the workers may not
+  // duplicate or skip index probes.
   EXPECT_EQ(parallel.comparisons(), sequential.comparisons());
 }
 
 TEST(ParallelOptions, InvalidCombinationsAreRejected) {
-  Broker::Config config;
+  BrokerOptions config;
   config.match_threads = 0;
   EXPECT_THROW(Broker(0, config), std::invalid_argument);
   config.match_threads = 4;
-  config.shard_count = 2;  // fewer shards than threads
-  EXPECT_THROW(Broker(0, config), std::invalid_argument);
-  config.shard_count = 0;
   EXPECT_NO_THROW(Broker(0, config));
 
   // Stage timings cannot be attributed across workers.
@@ -314,11 +312,12 @@ TEST(ParallelOptions, InvalidCombinationsAreRejected) {
 TEST(ParallelOptions, ApplyBrokerOptionParsesEveryKnob) {
   BrokerOptions options;
   EXPECT_EQ(options.parse_option("threads", "4"), "");
-  EXPECT_EQ(options.parse_option("shards", "16"), "");
   EXPECT_EQ(options.parse_option("covering", "off"), "");
   EXPECT_EQ(options.parse_option("advertisements=on"), "");
   EXPECT_EQ(options.match_threads, 4u);
-  EXPECT_EQ(options.shard_count, 16u);
+  // Epochs match each publication whole: there is no shard count to set.
+  EXPECT_EQ(options.parse_option("shards", "16"),
+            "unknown broker option 'shards'");
   EXPECT_FALSE(options.use_covering);
   EXPECT_TRUE(options.use_advertisements);
   EXPECT_NE(options.parse_option("threads", "zero"), "");
@@ -329,7 +328,7 @@ TEST(ParallelOptions, ApplyBrokerOptionParsesEveryKnob) {
 // A moved-from broker is dead, and the moved-to broker's scheduler must
 // match against the *moved* tables (the pool holds the PRT's address).
 TEST(ParallelScheduler, MoveRebuildsTheSchedulerAgainstTheNewTables) {
-  Broker::Config config = config_with_threads(4);
+  BrokerOptions config = config_with_threads(4);
   Broker source(0, config);
   source.add_neighbor(IfaceId{1});
   source.add_neighbor(IfaceId{2});

@@ -149,7 +149,7 @@ TEST(PrtIndex, GoldenMergedTable) {
   const std::vector<Path> paths = publication_paths(dtd, 14, 6);
   for (std::size_t threads : {1, 2}) {
     SCOPED_TRACE(std::to_string(threads) + " match thread(s)");
-    Broker::Config config;
+    BrokerOptions config;
     config.use_advertisements = false;
     config.merging_enabled = true;
     config.merge_universe = &universe;
@@ -252,14 +252,15 @@ TEST(PrtIndex, HopOnlyRemoveIsVisibleToTheNextMatch) {
 }
 
 // A sequential broker compiles at its first publication after control
-// ops, never at the ops themselves, and publishes no snapshot: it matches
-// the index inline and reads the live edge state.
+// ops, never at the ops themselves, and publishes nothing: it matches the
+// index inline and edits the live edge state in place, never copying it.
 TEST(PrtIndex, SequentialBrokerCompilesLazilyAndPublishesNothing) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker(0, config);
   broker.add_neighbor(IfaceId{1});
   broker.add_client(IfaceId{10});
+  const Broker::Edge* edge = &broker.edge();
   for (const char* text : {"/news/article", "/news/sports", "/weather/report"}) {
     broker.handle(IfaceId{10}, Message::subscribe(parse_xpe(text)));
   }
@@ -270,8 +271,35 @@ TEST(PrtIndex, SequentialBrokerCompilesLazilyAndPublishesNothing) {
   pub.doc_id = 1;
   EXPECT_EQ(broker.handle(IfaceId{1}, Message{pub}).deliveries, 1u);
   EXPECT_EQ(broker.prt().index_stats().builds, 1u);
-  EXPECT_EQ(broker.snapshot_store().version(), 0u);
-  EXPECT_EQ(broker.snapshot_store().live(), 1);
+  EXPECT_EQ(&broker.edge(), edge);
+}
+
+// A threaded broker compiles lazily too: N control ops compile nothing,
+// and the epoch that the next publication runs compiles exactly once.
+TEST(PrtIndex, ThreadedBrokerCompilesLazily) {
+  BrokerOptions config;
+  config.use_advertisements = false;
+  config.match_threads = 4;
+  Broker broker(0, config);
+  broker.add_neighbor(IfaceId{1});
+  broker.add_client(IfaceId{10});
+  PublishMsg pub;
+  pub.path = parse_path("/news/article");
+  pub.doc_id = 1;
+  broker.handle(IfaceId{1}, Message{pub});
+  const std::uint64_t builds = broker.prt().index_stats().builds;
+
+  constexpr int kOps = 24;
+  for (int i = 0; i < kOps; ++i) {
+    const Xpe xpe = parse_xpe("/news/item" + std::to_string(i));
+    broker.handle(IfaceId{i % 2 == 0 ? 10 : 1}, Message::subscribe(xpe));
+  }
+  broker.handle(IfaceId{10}, Message::subscribe(parse_xpe("/news/article")));
+  EXPECT_EQ(broker.prt().index_stats().builds, builds);
+
+  pub.doc_id = 2;
+  EXPECT_EQ(broker.handle(IfaceId{1}, Message{pub}).deliveries, 1u);
+  EXPECT_EQ(broker.prt().index_stats().builds, builds + 1);
 }
 
 // A refresh recompiles only the dirty buckets and shares the others with

@@ -49,7 +49,7 @@ std::vector<IfaceId> targets(const Broker::HandleResult& result,
 
 constexpr IfaceId kLeft{1}, kRight{2}, kUp{3}, kClient{10}, kClient2{11};
 
-Broker make_broker(Broker::Config config) {
+Broker make_broker(BrokerOptions config) {
   Broker broker(0, config);
   broker.add_neighbor(kLeft);
   broker.add_neighbor(kRight);
@@ -92,7 +92,7 @@ TEST(BrokerSubscribe, FollowsAdvertisements) {
 }
 
 TEST(BrokerSubscribe, FloodsWithoutAdvertisements) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker = make_broker(config);
   auto r = broker.handle(kClient, Message::subscribe(X("/a")));
@@ -105,7 +105,7 @@ TEST(BrokerSubscribe, FloodsWithoutAdvertisements) {
 }
 
 TEST(BrokerSubscribe, CoveredSubscriptionAbsorbed) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker = make_broker(config);
   broker.handle(kClient, Message::subscribe(X("/a")));
@@ -116,7 +116,7 @@ TEST(BrokerSubscribe, CoveredSubscriptionAbsorbed) {
 }
 
 TEST(BrokerSubscribe, CoveringSubscriptionUnsubscribesCovered) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker = make_broker(config);
   broker.handle(kClient, Message::subscribe(X("/a/b")));
@@ -130,7 +130,7 @@ TEST(BrokerSubscribe, CoveringSubscriptionUnsubscribesCovered) {
 }
 
 TEST(BrokerSubscribe, NoCoveringModeForwardsEverything) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   config.use_covering = false;
   Broker broker = make_broker(config);
@@ -141,7 +141,7 @@ TEST(BrokerSubscribe, NoCoveringModeForwardsEverything) {
 }
 
 TEST(BrokerSubscribe, DuplicateForwardsOnlyTowardEarlierArrivals) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker = make_broker(config);
   auto r1 = broker.handle(kLeft, Message::subscribe(X("/a")));
@@ -174,7 +174,7 @@ TEST(BrokerAdvertise, LateAdvertisementPullsSubscriptions) {
 }
 
 TEST(BrokerPublish, RoutesAlongPrtAndDelivers) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker = make_broker(config);
   broker.handle(kLeft, Message::subscribe(X("/a/b")));
@@ -192,7 +192,7 @@ TEST(BrokerPublish, RoutesAlongPrtAndDelivers) {
 }
 
 TEST(BrokerPublish, NonMatchingDropped) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker = make_broker(config);
   broker.handle(kLeft, Message::subscribe(X("/a/b")));
@@ -201,7 +201,7 @@ TEST(BrokerPublish, NonMatchingDropped) {
 }
 
 TEST(BrokerPublish, EdgeDeliveryUsesClientOriginals) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker = make_broker(config);
   broker.handle(kClient, Message::subscribe(X("/a/b")));
@@ -214,7 +214,7 @@ TEST(BrokerPublish, EdgeDeliveryUsesClientOriginals) {
 }
 
 TEST(BrokerUnsubscribe, RemovesAndPropagates) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker = make_broker(config);
   broker.handle(kClient, Message::subscribe(X("/a")));
@@ -227,7 +227,7 @@ TEST(BrokerUnsubscribe, RemovesAndPropagates) {
 }
 
 TEST(BrokerUnsubscribe, KeepsWhileOtherHopsRemain) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker = make_broker(config);
   broker.handle(kLeft, Message::subscribe(X("/a")));
@@ -240,7 +240,7 @@ TEST(BrokerUnsubscribe, KeepsWhileOtherHopsRemain) {
 TEST(BrokerUnsubscribe, ReissuesPreviouslyCoveredChildren) {
   // /a absorbed /a/b; when /a goes away, /a/b must be re-forwarded or
   // upstream brokers lose the route.
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker = make_broker(config);
   broker.handle(kClient, Message::subscribe(X("/a")));
@@ -262,7 +262,7 @@ TEST(BrokerUnsubscribe, ReissuesPreviouslyCoveredChildren) {
 // That holds for a covered subscribe and for the re-forward of an orphan
 // its grandparent still covers.
 TEST(BrokerSubscribe, NothingToSendSkipsTheSrt) {
-  Broker broker(0, Broker::Config{});
+  Broker broker(0, BrokerOptions{});
   broker.add_neighbor(kUp);
   broker.add_client(kClient);
   broker.handle(kUp, Message::advertise(
@@ -301,7 +301,7 @@ TEST(BrokerMerging, MergePassEmitsMergerAndUnsubs) {
 )");
   PathUniverse universe(dtd);
 
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   config.merging_enabled = true;
   config.merge_universe = &universe;
@@ -373,12 +373,12 @@ TEST(BrokerClientTable, TracksOriginals) {
   Broker broker = make_broker({});
   broker.handle(kClient, Message::subscribe(X("/a")));
   broker.handle(kClient, Message::subscribe(X("/b")));
-  const auto* subs = broker.client_subscriptions(kClient);
+  const auto* subs = broker.edge().subscriptions_of(kClient);
   ASSERT_NE(subs, nullptr);
   EXPECT_EQ(subs->size(), 2u);
   broker.handle(kClient, Message::unsubscribe(X("/a")));
-  EXPECT_EQ(broker.client_subscriptions(kClient)->size(), 1u);
-  EXPECT_EQ(broker.client_subscriptions(kRight), nullptr);
+  EXPECT_EQ(broker.edge().subscriptions_of(kClient)->size(), 1u);
+  EXPECT_EQ(broker.edge().subscriptions_of(kRight), nullptr);
 }
 
 // --- Indexed routing tables vs linear-scan reference --------------------

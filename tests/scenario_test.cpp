@@ -226,7 +226,7 @@ at 500 restart 1
 
 // Live subscribe/unsubscribe churn against a running overlay with a
 // multi-threaded matcher: the stable subscribers' delivery oracle must
-// hold while churners rebuild routing snapshots hundreds of times.
+// hold while churners recompile the pinned PRT index hundreds of times.
 TEST(ScenarioRun, ChurnDeliveryOracleHoldsMidChurn) {
   Scenario s = parse_scenario(R"(name churn-smoke
 seed 9

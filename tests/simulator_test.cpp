@@ -61,7 +61,7 @@ TEST(TopologyTest, LatencyProfiles) {
 
 TEST(SimulatorTest, EndToEndSingleBroker) {
   Simulator sim(Simulator::Options{0.0});
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   int b0 = sim.add_broker(config);
   int subscriber = sim.attach_client(b0);
@@ -80,7 +80,7 @@ TEST(SimulatorTest, EndToEndSingleBroker) {
 
 TEST(SimulatorTest, MultiHopDeliveryAndDelay) {
   Simulator sim(Simulator::Options{0.0});
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   // 3-broker chain with known latencies.
   for (int i = 0; i < 3; ++i) sim.add_broker(config);
@@ -104,7 +104,7 @@ TEST(SimulatorTest, MultiHopDeliveryAndDelay) {
 
 TEST(SimulatorTest, DuplicatePathsOfOneDocCountOnce) {
   Simulator sim(Simulator::Options{0.0});
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   int b0 = sim.add_broker(config);
   int subscriber = sim.attach_client(b0);
@@ -119,7 +119,7 @@ TEST(SimulatorTest, DuplicatePathsOfOneDocCountOnce) {
 
 TEST(SimulatorTest, MessageAccounting) {
   Simulator sim(Simulator::Options{0.0});
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   for (int i = 0; i < 2; ++i) sim.add_broker(config);
   sim.connect(0, 1, LinkConfig{});
@@ -138,7 +138,7 @@ TEST(SimulatorTest, MessageAccounting) {
 
 TEST(SimulatorTest, WireBytesSlowLinkAddsDelay) {
   Simulator sim(Simulator::Options{0.0});
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   int b0 = sim.add_broker(config);
   LinkConfig slow;

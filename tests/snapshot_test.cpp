@@ -20,7 +20,7 @@ Xpe X(const char* s) { return parse_xpe(s); }
 
 constexpr IfaceId kLeft{1}, kRight{2}, kClient{10};
 
-Broker make_broker(Broker::Config config = {}) {
+Broker make_broker(BrokerOptions config = {}) {
   Broker broker(0, config);
   broker.add_neighbor(kLeft);
   broker.add_neighbor(kRight);
@@ -104,7 +104,7 @@ TEST(Snapshot, PreservesMergers) {
 <!ELEMENT a EMPTY><!ELEMENT b EMPTY>
 )");
   PathUniverse universe(dtd);
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   config.merging_enabled = true;
   config.merge_universe = &universe;
@@ -132,7 +132,7 @@ TEST(Snapshot, MergingRoundTripForwardingBitIdentical) {
 <!ELEMENT a EMPTY><!ELEMENT b EMPTY>
 )");
   PathUniverse universe(dtd);
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   config.merging_enabled = true;
   config.merge_universe = &universe;
@@ -144,7 +144,7 @@ TEST(Snapshot, MergingRoundTripForwardingBitIdentical) {
   original.handle(kClient, Message::subscribe(X("/r/x/b")));
   original.handle(kRight, Message::subscribe(X("/r/x")));
   ASSERT_GE(original.merges_applied(), 1u);
-  ASSERT_FALSE(original.client_tables().empty());
+  ASSERT_FALSE(original.edge().client_subs.empty());
 
   std::string snapshot = snapshot_to_string(original);
   Broker restored = make_broker(config);
@@ -181,7 +181,7 @@ TEST(Snapshot, MergingRoundTripForwardingBitIdentical) {
 }
 
 TEST(Snapshot, FlatModeRoundTrip) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_covering = false;
   config.use_advertisements = false;
   Broker original = make_broker(config);

@@ -112,7 +112,7 @@ std::vector<Message> to_publications(const std::vector<std::string>& texts,
 }
 
 Broker make_broker(std::size_t threads, std::uint64_t seed) {
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   config.match_threads = threads;
   Broker broker(0, config);

@@ -71,7 +71,7 @@ void run_workload(Simulator& sim, const FaultPlan& plan, bool faulted,
     topology = random_connected(plan.topology_size, 0, rng);
   }
 
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   for (std::size_t i = 0; i < topology.num_brokers; ++i) sim.add_broker(config);
   for (auto [a, b] : topology.edges) sim.connect(a, b, LinkConfig{});

@@ -489,7 +489,7 @@ void run_tcp_vs_simulator_differential(std::size_t match_threads) {
   const int kSubscriberBroker[] = {1, 3, 5, 6, 2};
   const int kPublisherBroker = 0;
   const Topology topology = complete_binary_tree(3);  // 7 brokers
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
 
   // -- Reference run: discrete-event simulator.

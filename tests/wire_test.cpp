@@ -301,7 +301,7 @@ TEST(WireFrameDecoder, ErrorsAreSticky) {
 
 /// A broker with state on every relation the snapshot serialises.
 Broker populated_broker() {
-  Broker::Config config;
+  BrokerOptions config;
   Broker broker(1, config);
   broker.add_neighbor(IfaceId{0});
   broker.add_neighbor(IfaceId{1});
@@ -324,7 +324,7 @@ TEST(WireSnapshot, FullSnapshotRoundTripsThroughSyncState) {
   const auto& state = std::get<SyncStateMsg>(decoded.message.payload);
   EXPECT_EQ(state.state, snapshot);
 
-  Broker restored(1, Broker::Config{});
+  Broker restored(1, BrokerOptions{});
   restored.add_neighbor(IfaceId{0});
   restored.add_neighbor(IfaceId{1});
   restored.add_client(IfaceId{2});
@@ -347,7 +347,7 @@ TEST(WireSnapshot, LinkStateExportImportRoundTripsThroughWire) {
 
   // The restarted neighbour imports the decoded slice and regains routing
   // state for the shared link.
-  Broker restarted(2, Broker::Config{});
+  Broker restarted(2, BrokerOptions{});
   restarted.add_neighbor(IfaceId{0});
   import_link_state(restarted, IfaceId{0}, state.state);
   EXPECT_GT(restarted.srt_size() + restarted.prt_size(), 0u);
@@ -362,14 +362,14 @@ TEST(WireSnapshot, MalformedVersionHeaderIsRejectedAfterDecode) {
       wire::decode_frame(wire::encode_frame(Message::sync_state(bogus)));
   ASSERT_EQ(decoded.status, DecodeStatus::kOk);
 
-  Broker restarted(2, Broker::Config{});
+  Broker restarted(2, BrokerOptions{});
   restarted.add_neighbor(IfaceId{0});
   EXPECT_THROW(
       import_link_state(restarted, IfaceId{0},
                         std::get<SyncStateMsg>(decoded.message.payload).state),
       ParseError);
 
-  Broker blank(3, Broker::Config{});
+  Broker blank(3, BrokerOptions{});
   EXPECT_THROW(snapshot_from_string(blank, "xroute-broker-snapshot 99\nend\n"),
                ParseError);
 }

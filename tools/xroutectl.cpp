@@ -274,7 +274,7 @@ ScenarioRun run_scenario(Simulator& sim, const FaultPlan& plan, bool faulted,
     topology = random_connected(plan.topology_size, 0, rng);
   }
 
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   for (const auto& [key, value] : plan.broker_options) {
     // Re-validated here (the plan parser already checked) so a plan built
@@ -523,7 +523,7 @@ int cmd_broadcast_serve(const std::vector<std::string>& args) {
     paths = {"/a/b", "/a/b/c", "/d/x/e", "/q", "/a"};
   }
 
-  Broker::Config config;
+  BrokerOptions config;
   config.use_advertisements = false;
   Broker broker(0, config);
   const IfaceId kSubscriber{1};
