@@ -158,7 +158,7 @@ class EdgeServer {
   void drop_interest(Reactor& reactor, int fd, std::uint32_t xpe_uid);
   void sweep(Reactor& reactor);
   void beacon(Reactor& reactor);
-  /// Broker's delivery callback (loop or match thread of the broker).
+  /// Broker's delivery callback; always runs on the broker's loop thread.
   void on_delivery(const Message& msg, transport::SharedFrame frame);
   /// Edge-wide refcount: first interest subscribes upstream.
   void interest_up(const Xpe& xpe);

@@ -87,7 +87,7 @@ struct FaultPlan {
 ///   link 1 2 drop 0.30       # per-link override (same sub-directives)
 ///   link 1 2 down 10.0 90.0
 ///   crash 1 200.0 resync     # broker, time, cold | resync | snapshot
-///   option merging on        # broker knob (router/broker_options.hpp)
+///   option covering off      # broker knob (router/broker_options.hpp)
 ///
 /// Throws ParseError on malformed input.
 FaultPlan parse_fault_plan(std::istream& in);

@@ -206,8 +206,8 @@ class Broker {
 
   /// One queued inbound message, for handle_batch(). The message is
   /// borrowed, not owned — it must stay alive for the call. `frame` is
-  /// the message's wire frame when the caller has it (the transport
-  /// inbox); publications carrying one are forwarded via the sink's
+  /// the message's wire frame when the caller has it (the transport's
+  /// read buffer); publications carrying one are forwarded via the sink's
   /// frame-aware hooks so transports can resend the bytes untouched.
   struct Inbound {
     IfaceId from = kNoIface;

@@ -39,6 +39,10 @@ std::string BrokerOptions::validate() const {
     return "match_threads " + std::to_string(match_threads) +
            " exceeds the supported maximum of " + std::to_string(kMaxThreads);
   }
+  if (merging_enabled && merge_universe == nullptr) {
+    return "merging requires a path universe (merge_universe); without one "
+           "a merge pass never merges";
+  }
   if (merging_enabled && !use_covering) {
     return "merging requires covering (the merge pass runs on the "
            "subscription tree)";
@@ -68,12 +72,6 @@ std::string BrokerOptions::parse_option(const std::string& key,
   }
   if (key == "track_covered") {
     return parse_bool(value, &options.track_covered) ? "" : bad_bool();
-  }
-  if (key == "merging") {
-    return parse_bool(value, &options.merging_enabled) ? "" : bad_bool();
-  }
-  if (key == "merge_interval") {
-    return parse_size(value, &options.merge_interval) ? "" : bad_size();
   }
   if (key == "threads") {
     return parse_size(value, &options.match_threads) ? "" : bad_size();

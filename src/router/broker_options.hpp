@@ -23,7 +23,8 @@ struct BrokerOptions {
   bool track_covered = true;
   bool merging_enabled = false;
   MergeOptions merge_options;
-  /// Path universe for D_imperfect (required for merging to take effect).
+  /// Path universe for D_imperfect; validate() rejects merging without
+  /// one.
   const PathUniverse* merge_universe = nullptr;
   /// Run a merge pass after this many newly inserted subscriptions.
   std::size_t merge_interval = 100;
@@ -43,9 +44,12 @@ struct BrokerOptions {
   /// every surface emits the same error text. Keys (values:
   /// on/off/true/false/1/0 for booleans):
   ///
-  ///   advertisements, covering, track_covered, merging  booleans
-  ///   merge_interval                                    size_t > 0
-  ///   threads                                           match_threads
+  ///   advertisements, covering, track_covered  booleans
+  ///   threads                                  match_threads
+  ///
+  /// Merging has no key: it needs a path universe that no textual surface
+  /// can supply, so it is configured in code (merging_enabled plus
+  /// merge_universe, or Network's routing strategy).
   std::string parse_option(const std::string& key, const std::string& value);
 
   /// Applies a "key=value" spelling (CLI convenience); same errors.

@@ -447,13 +447,11 @@ void Runner::run_churn_op(const ChurnOp& op) {
 }
 
 bool Runner::wait_quiescent(double settle_ms, double timeout_ms) {
-  auto totals = [&] {
+  auto total_frames = [&] {
     std::uint64_t frames = 0;
-    std::size_t queued = 0;
     for (const auto& [id, node] : nodes_) {
       if (!node.up) continue;
       frames += node.broker->frames_in();
-      queued += node.broker->queued_messages();
     }
     for (const Subscriber& sub : subscribers_) {
       frames += sub.client->frames_in();
@@ -462,17 +460,17 @@ bool Runner::wait_quiescent(double settle_ms, double timeout_ms) {
       frames += churner.client->frames_in();
     }
     if (publisher_) frames += publisher_->frames_in();
-    return std::make_pair(frames, queued);
+    return frames;
   };
   Clock::time_point deadline =
       Clock::now() +
       std::chrono::milliseconds(static_cast<long>(timeout_ms));
-  auto [last, queued] = totals();
+  std::uint64_t last = total_frames();
   Clock::time_point stable_since = Clock::now();
   while (Clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    auto [frames, q] = totals();
-    if (frames != last || q != 0) {
+    std::uint64_t frames = total_frames();
+    if (frames != last) {
       last = frames;
       stable_since = Clock::now();
       continue;

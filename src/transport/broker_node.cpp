@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <future>
 #include <sstream>
 #include <utility>
@@ -12,15 +11,9 @@
 
 namespace xroute::transport {
 
-/// Encodes every outgoing message on the calling thread — the expensive
-/// half of sending — and forwards (interface, bytes) to `emit`. In
-/// sequential mode `emit` sends inline on the loop thread; in async mode
-/// it collects the batch the match thread later posts to the loop.
 class TransportBroker::EncodingSink : public ForwardSink {
  public:
-  using Emit = std::function<void(IfaceId, std::vector<std::uint8_t>)>;
-  EncodingSink(TransportBroker* node, Emit emit)
-      : node_(node), emit_(std::move(emit)) {}
+  explicit EncodingSink(TransportBroker* node) : node_(node) {}
   // Forwards and local deliveries are the same act on a socket: put bytes
   // on the interface's connection (or, for the edge interface, hand the
   // serialize-once SharedFrame to the edge server). Publications that
@@ -32,16 +25,16 @@ class TransportBroker::EncodingSink : public ForwardSink {
     if (event.kind == DeliveryEvent::Kind::kSuppressed) return;
     if (node_->deliver_edge(event.iface, event.message(), event.frame)) return;
     if (event.frame.empty()) {
-      emit_(event.iface, wire::encode_frame(event.message()));
+      node_->send_encoded(event.iface, wire::encode_frame(event.message()));
     } else {
-      emit_(event.iface, std::vector<std::uint8_t>(event.frame.begin(),
-                                                   event.frame.end()));
+      node_->send_encoded(event.iface,
+                          std::vector<std::uint8_t>(event.frame.begin(),
+                                                    event.frame.end()));
     }
   }
 
  private:
   TransportBroker* node_;
-  Emit emit_;
 };
 
 TransportBroker::TransportBroker(Options options)
@@ -64,6 +57,7 @@ TransportBroker::TransportBroker(Options options)
   transport_->set_disconnect_handler(
       [this](Connection* c, const std::string& r) { on_disconnect(c, r); });
   transport_->set_goodbye_handler([this](Connection* c) { on_goodbye(c); });
+  transport_->set_read_done_handler([this](Connection*) { flush(); });
   transport_->set_peer_state_handler([this](Connection* c, PeerState state) {
     (void)c;
     if (state == PeerState::kSuspect) {
@@ -80,9 +74,6 @@ void TransportBroker::start() {
   port_ = transport_->listen(options_.listen_port);
   running_ = true;
   thread_ = std::thread([this] { loop_->run(); });
-  if (async()) {
-    match_thread_ = std::thread([this] { match_loop(); });
-  }
 }
 
 void TransportBroker::connect_to(const std::string& host, std::uint16_t port) {
@@ -92,16 +83,6 @@ void TransportBroker::connect_to(const std::string& host, std::uint16_t port) {
 void TransportBroker::stop() {
   if (!running_) return;
   running_ = false;
-  if (match_thread_.joinable()) {
-    // Drain the match thread first: its final sends are posted to the loop
-    // while the loop is still alive, then the loop shuts the sockets down.
-    {
-      std::lock_guard<std::mutex> lock(inbox_mutex_);
-      inbox_shutdown_ = true;
-    }
-    inbox_cv_.notify_one();
-    match_thread_.join();
-  }
   loop_->post([this] { transport_->shutdown(); });
   loop_->stop();
   thread_.join();
@@ -166,19 +147,15 @@ void TransportBroker::on_peer(Connection* connection, const wire::Hello& hello) 
   } else {
     client_peers_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (rebound) {
-    // The Broker already knows this interface; re-declaring it would be
-    // a no-op, and the routing state behind it is still live.
-  } else if (async()) {
-    // Membership rides the inbox so the Broker (owned by the match thread)
-    // learns about the interface before any frame queued behind it.
-    enqueue_event(InboundEvent{is_broker ? InboundEvent::Kind::kAddNeighbor
-                                         : InboundEvent::Kind::kAddClient,
-                               IfaceId{peer.interface_id}, Message{}});
-  } else if (is_broker) {
-    broker_.add_neighbor(IfaceId{peer.interface_id});
-  } else {
-    broker_.add_client(IfaceId{peer.interface_id});
+  // A rebound interface is one the Broker already knows, with its routing
+  // state still live; anything else is declared now.
+  if (!rebound) {
+    flush();
+    if (is_broker) {
+      broker_.add_neighbor(IfaceId{peer.interface_id});
+    } else {
+      broker_.add_client(IfaceId{peer.interface_id});
+    }
   }
   peers_.emplace(connection, peer);
   connection->set_backpressure_handler(
@@ -222,10 +199,7 @@ void TransportBroker::on_goodbye(Connection* connection) {
   // Planned departure: hand the interface's routes back now, while every
   // other link is healthy — the eventual disconnect is then just a socket
   // closing, not a failure.
-  InboundEvent drop;
-  drop.kind = InboundEvent::Kind::kDropInterface;
-  drop.iface = IfaceId{it->second.interface_id};
-  dispatch_event(std::move(drop));
+  hand_back(IfaceId{it->second.interface_id});
 }
 
 void TransportBroker::on_disconnect(Connection* connection,
@@ -233,6 +207,7 @@ void TransportBroker::on_disconnect(Connection* connection,
   (void)reason;
   auto it = peers_.find(connection);
   if (it == peers_.end()) return;
+  flush();
   if (it->second.hello.kind == wire::Hello::PeerKind::kBroker) {
     broker_peers_.fetch_sub(1, std::memory_order_relaxed);
   } else {
@@ -263,10 +238,7 @@ void TransportBroker::on_disconnect(Connection* connection,
     // a fresh interface and re-subscribes, so the old one's subscriptions
     // are withdrawn — otherwise they would route publications at a dead
     // interface forever.
-    InboundEvent drop;
-    drop.kind = InboundEvent::Kind::kDropInterface;
-    drop.iface = IfaceId{it->second.interface_id};
-    dispatch_event(std::move(drop));
+    hand_back(IfaceId{it->second.interface_id});
   }
   // A dying connection never emits backpressure(false); release its share
   // of the ingress pause here or the whole node stays paused forever.
@@ -292,135 +264,70 @@ void TransportBroker::on_frame(Connection* connection, wire::Decoded&& decoded) 
 
   // The decoded frame's raw bytes ride along for publications so the
   // broker's forward stage can resend them verbatim (no per-hop encode).
-  const bool keep_frame = decoded.message.type() == MessageType::kPublish;
-  if (async()) {
-    InboundEvent event{InboundEvent::Kind::kFrame,
-                       IfaceId{peer.interface_id},
-                       std::move(decoded.message)};
-    if (keep_frame) {
-      // The span dies at the loop thread's next feed(); the inbox owns a
-      // copy for the match thread.
-      event.frame.assign(decoded.raw.begin(), decoded.raw.end());
-    }
-    enqueue_event(std::move(event));
+  // They borrow from the connection's decoder, which is fed again only by
+  // its next read.
+  const IfaceId from{peer.interface_id};
+  const std::span<const std::uint8_t> frame =
+      decoded.message.type() == MessageType::kPublish
+          ? decoded.raw
+          : std::span<const std::uint8_t>{};
+  if (broker_.scheduler()) {
+    // A pool matches a run of publications as one epoch: hold the frame
+    // until the read ends.
+    pending_.push_back(PendingFrame{from, std::move(decoded.message), frame});
     return;
   }
-  EncodingSink sink(this, [this](IfaceId iface, std::vector<std::uint8_t> frame) {
-    send_encoded(iface, std::move(frame));
-  });
-  // Inline processing: decoded.raw is still alive (nothing feeds the
-  // decoder until this handler returns), so the frame travels zero-copy.
-  Broker::Inbound one{IfaceId{peer.interface_id}, &decoded.message,
-                      keep_frame ? decoded.raw
-                                 : std::span<const std::uint8_t>{}};
-  Broker::HandleStatus status =
-      broker_.handle_batch(std::span<const Broker::Inbound>(&one, 1), sink);
-  note_handle_status(status);
+  const Broker::Inbound one{from, &decoded.message, frame};
+  handle(std::span<const Broker::Inbound>(&one, 1));
+}
+
+void TransportBroker::flush() {
+  if (pending_.empty()) return;
+  // Take the run out first: handling it can close another connection
+  // (a failed send closes at once), and the membership change that follows
+  // must find nothing left to flush.
+  run_.swap(pending_);
+  inbound_.clear();
+  for (const PendingFrame& held : run_) {
+    inbound_.push_back(Broker::Inbound{held.from, &held.msg, held.frame});
+  }
+  handle(inbound_);
+  run_.clear();
+}
+
+void TransportBroker::handle(std::span<const Broker::Inbound> batch) {
+  EncodingSink sink(this);
+  in_broker_ = true;
+  note_handle_status(broker_.handle_batch(batch, sink));
+  in_broker_ = false;
+  apply_handbacks();
+}
+
+void TransportBroker::hand_back(IfaceId iface) {
+  flush();
+  handbacks_.push_back(iface);
+  if (!in_broker_) apply_handbacks();
+}
+
+void TransportBroker::apply_handbacks() {
+  EncodingSink sink(this);
+  in_broker_ = true;
+  // Indexed: a handback's own sends can fail and request another.
+  for (std::size_t i = 0; i < handbacks_.size(); ++i) {
+    broker_.drop_interface(handbacks_[i], sink);
+  }
+  handbacks_.clear();
+  in_broker_ = false;
 }
 
 void TransportBroker::note_handle_status(const Broker::HandleStatus& status) {
   if (!status.resync_completed) return;
   resyncs_completed_.fetch_add(1, std::memory_order_relaxed);
-  double started = join_started_ms_.exchange(0.0, std::memory_order_relaxed);
-  if (started > 0) {
-    last_join_convergence_ms_.store(loop_->now_ms() - started,
+  if (join_started_ms_ > 0) {
+    last_join_convergence_ms_.store(loop_->now_ms() - join_started_ms_,
                                     std::memory_order_relaxed);
+    join_started_ms_ = 0.0;
   }
-}
-
-void TransportBroker::enqueue_event(InboundEvent event) {
-  queued_messages_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(inbox_mutex_);
-    inbox_.push_back(std::move(event));
-  }
-  inbox_cv_.notify_one();
-}
-
-void TransportBroker::match_loop() {
-  std::vector<InboundEvent> batch;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(inbox_mutex_);
-      inbox_cv_.wait(lock,
-                     [&] { return inbox_shutdown_ || !inbox_.empty(); });
-      if (inbox_.empty()) return;  // shutdown and fully drained
-      batch.swap(inbox_);
-    }
-    // Encode off the loop thread; ship the whole batch's output in one
-    // posted task so the loop wakes once per batch, not once per frame.
-    auto sends = std::make_shared<
-        std::vector<std::pair<IfaceId, std::vector<std::uint8_t>>>>();
-    EncodingSink sink(
-        this, [&sends](IfaceId iface, std::vector<std::uint8_t> frame) {
-          sends->emplace_back(iface, std::move(frame));
-        });
-    std::vector<Broker::Inbound> run;
-    run.reserve(batch.size());
-    auto flush_run = [&] {
-      if (run.empty()) return;
-      Broker::HandleStatus status = broker_.handle_batch(run, sink);
-      note_handle_status(status);
-      run.clear();
-    };
-    for (InboundEvent& event : batch) {
-      if (event.kind == InboundEvent::Kind::kFrame) {
-        run.push_back(Broker::Inbound{event.iface, &event.msg, event.frame});
-        continue;
-      }
-      // Membership/control events act on the Broker directly; the run
-      // flushes first so the mutation lands in arrival order.
-      flush_run();
-      apply_event(event, sink);
-    }
-    flush_run();
-    if (!sends->empty()) {
-      loop_->post([this, sends] {
-        for (auto& [iface, frame] : *sends) {
-          send_encoded(iface, std::move(frame));
-        }
-      });
-    }
-    batches_processed_.fetch_add(1, std::memory_order_relaxed);
-    queued_messages_.fetch_sub(batch.size(), std::memory_order_relaxed);
-    batch.clear();
-  }
-}
-
-void TransportBroker::apply_event(InboundEvent& event, EncodingSink& sink) {
-  switch (event.kind) {
-    case InboundEvent::Kind::kFrame:
-      break;  // frames travel through handle_batch, never through here
-    case InboundEvent::Kind::kAddNeighbor:
-      broker_.add_neighbor(event.iface);
-      break;
-    case InboundEvent::Kind::kAddClient:
-      broker_.add_client(event.iface);
-      break;
-    case InboundEvent::Kind::kDropInterface:
-      broker_.drop_interface(event.iface, sink);
-      break;
-    case InboundEvent::Kind::kBeginResync:
-      broker_.begin_resync(event.count);
-      break;
-    case InboundEvent::Kind::kInspect:
-      event.inspect->set_value(snapshot_to_string(broker_));
-      break;
-  }
-}
-
-void TransportBroker::dispatch_event(InboundEvent event) {
-  // Loop thread only. In async mode the inbox orders the mutation with
-  // in-flight traffic; in sync mode the loop thread owns the Broker and
-  // the mutation applies here and now.
-  if (async()) {
-    enqueue_event(std::move(event));
-    return;
-  }
-  EncodingSink sink(this, [this](IfaceId iface, std::vector<std::uint8_t> frame) {
-    send_encoded(iface, std::move(frame));
-  });
-  apply_event(event, sink);
 }
 
 void TransportBroker::join(
@@ -428,15 +335,13 @@ void TransportBroker::join(
     std::size_t expected_peers) {
   std::size_t expected = std::max(expected_peers, neighbors.size());
   if (expected == 0) return;
-  join_started_ms_.store(loop_->now_ms(), std::memory_order_relaxed);
   loop_->post([this, neighbors = std::move(neighbors), expected] {
     // Arm the resync count before any handshake can complete: the
     // handle() call processing the last SyncState reports convergence.
+    join_started_ms_ = loop_->now_ms();
     join_syncs_pending_ += expected;
-    InboundEvent arm;
-    arm.kind = InboundEvent::Kind::kBeginResync;
-    arm.count = expected;
-    dispatch_event(std::move(arm));
+    flush();
+    broker_.begin_resync(expected);
     for (const auto& [host, port] : neighbors) {
       transport_->dial(host, port);
     }
@@ -449,19 +354,17 @@ bool TransportBroker::leave(double timeout_ms) {
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double, std::milli>(timeout_ms));
-  // Let the match thread finish everything already accepted, so the
-  // goodbye really is the last thing peers hear from us.
-  while (queued_messages() > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  bool clean = queued_messages() == 0;
   {
     std::promise<void> announced;
     loop_->post([this, &announced] {
-      for (auto& [connection, peer] : peers_) {
-        (void)peer;
-        connection->send(wire::encode_goodbye());
+      // A failed send closes its connection at once, and the handback that
+      // follows can close others: send from a copy of the keys.
+      std::vector<Connection*> connections;
+      for (const auto& [connection, peer] : peers_) {
+        connections.push_back(connection);
+      }
+      for (Connection* connection : connections) {
+        if (peers_.count(connection)) connection->send(wire::encode_goodbye());
       }
       announced.set_value();
     });
@@ -469,6 +372,7 @@ bool TransportBroker::leave(double timeout_ms) {
   }
   // Flush the send queues: in-flight publications (and the goodbyes) must
   // beat the FIN.
+  bool clean = true;
   for (;;) {
     std::promise<std::size_t> pending;
     loop_->post([this, &pending] {
@@ -491,21 +395,12 @@ bool TransportBroker::leave(double timeout_ms) {
 }
 
 std::string TransportBroker::state_snapshot() {
-  InboundEvent event;
-  event.kind = InboundEvent::Kind::kInspect;
-  event.inspect = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = event.inspect->get_future();
-  if (async()) {
-    enqueue_event(std::move(event));
-  } else {
-    loop_->post([this, event = std::move(event)]() mutable {
-      EncodingSink sink(
-          this, [this](IfaceId iface, std::vector<std::uint8_t> frame) {
-            send_encoded(iface, std::move(frame));
-          });
-      apply_event(event, sink);
-    });
-  }
+  std::promise<std::string> snapshot;
+  std::future<std::string> future = snapshot.get_future();
+  loop_->post([this, &snapshot] {
+    flush();
+    snapshot.set_value(snapshot_to_string(broker_));
+  });
   return future.get();
 }
 
@@ -545,47 +440,27 @@ IfaceId TransportBroker::attach_edge(EdgeDeliveryHandler handler) {
   std::future<int> future = attached.get_future();
   loop_->post([this, handler = std::move(handler), &attached]() mutable {
     int id = next_interface_++;
-    // Handler first, then the interface id, then the membership event:
-    // the Broker-owning thread can only forward to this interface after
-    // processing kAddClient, which the inbox mutex (async) or same-thread
-    // execution (sync) orders after both writes.
     edge_handler_ = std::move(handler);
-    edge_iface_.store(id, std::memory_order_release);
-    InboundEvent add;
-    add.kind = InboundEvent::Kind::kAddClient;
-    add.iface = IfaceId{id};
-    dispatch_event(std::move(add));
+    edge_iface_ = id;
+    flush();
+    broker_.add_client(IfaceId{id});
     attached.set_value(id);
   });
   return IfaceId{future.get()};
 }
 
 void TransportBroker::edge_send(Message msg) {
-  loop_->post([this, msg = std::move(msg)]() mutable {
-    int iface = edge_iface_.load(std::memory_order_relaxed);
-    if (iface < 0) return;
+  loop_->post([this, msg = std::move(msg)] {
+    if (edge_iface_ < 0) return;
     frames_in_.fetch_add(1, std::memory_order_relaxed);
-    if (async()) {
-      enqueue_event(InboundEvent{InboundEvent::Kind::kFrame, IfaceId{iface},
-                                 std::move(msg)});
-      return;
-    }
-    EncodingSink sink(this, [this](IfaceId i, std::vector<std::uint8_t> f) {
-      send_encoded(i, std::move(f));
-    });
-    Broker::Inbound one{IfaceId{iface}, &msg,
-                        std::span<const std::uint8_t>{}};
-    Broker::HandleStatus status =
-        broker_.handle_batch(std::span<const Broker::Inbound>(&one, 1), sink);
-    note_handle_status(status);
+    const Broker::Inbound one{IfaceId{edge_iface_}, &msg, {}};
+    handle(std::span<const Broker::Inbound>(&one, 1));
   });
 }
 
 bool TransportBroker::deliver_edge(IfaceId iface, const Message& msg,
                                    std::span<const std::uint8_t> frame) {
-  if (iface.value() != edge_iface_.load(std::memory_order_acquire)) {
-    return false;
-  }
+  if (iface.value() != edge_iface_) return false;
   // The serialize-once point: whatever the broker wants this interface to
   // see becomes ONE immutable refcounted frame, shared by every client
   // session the edge fans it out to.
@@ -627,16 +502,9 @@ std::string TransportBroker::metrics_json() {
   std::promise<std::string> promise;
   std::future<std::string> future = promise.get_future();
   loop_->post([this, &promise] {
-    // The scheduler's counters are monotonic atomics — safe to read here
-    // while the match thread runs; the registry itself is loop-owned.
     if (const MatchScheduler* scheduler = broker_.scheduler()) {
-      registry_.gauge("match.queue_depth")
-          .set(static_cast<double>(queued_messages()));
       registry_.gauge("match.epochs")
           .set(static_cast<double>(scheduler->epochs()));
-      registry_.gauge("match.batches")
-          .set(static_cast<double>(
-              batches_processed_.load(std::memory_order_relaxed)));
       std::vector<MatchScheduler::WorkerStats> workers =
           scheduler->worker_stats();
       for (std::size_t i = 0; i < workers.size(); ++i) {

@@ -14,28 +14,24 @@
 // under the low watermark. TCP flow control then pushes back on the
 // upstream sender.
 //
-// Threading: one event-loop thread owns the connections and the
-// MetricsRegistry. With match_threads == 1 it also owns the Broker and
-// everything happens inline, exactly as before. With match_threads > 1 a
-// dedicated *match thread* owns the Broker: the loop thread enqueues
-// inbound events (frames AND membership changes, through the same FIFO so
-// broker state mutation stays ordered with traffic) into an inbox; the
-// match thread drains the inbox in batches — runs of publications become
-// one scheduler epoch across the worker pool — encodes the resulting
-// frames off the loop, and posts them back to the loop thread for
-// sending. The event loop stays I/O-only. Cross-thread observation goes
-// through atomics (frame/byte totals, peer counts, inbox depth) or posted
-// tasks (metrics_json).
+// Threading: one event-loop thread owns the connections, the
+// MetricsRegistry and the Broker, at every match_threads. A broker without
+// a worker pool handles each frame as it arrives. A broker with one holds
+// the frames one read surfaces and hands them to Broker::handle_batch as
+// one run when the read ends, so a run of publications is one scheduler
+// epoch and every frame still borrows its bytes from the connection's
+// decoder (zero-copy). The pool's workers are the only other threads; they
+// read nothing but the PRT index the epoch pins. Cross-thread observation
+// goes through atomics (frame/byte totals, peer counts) or posted tasks
+// (metrics_json, state_snapshot).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -75,8 +71,7 @@ class TransportBroker {
   explicit TransportBroker(Options options);
   ~TransportBroker();
 
-  /// Binds the listener and starts the loop thread (and, with
-  /// match_threads > 1, the match thread).
+  /// Binds the listener and starts the loop thread.
   void start();
   /// Dials a neighbouring broker (callable from any thread, before or
   /// after the peer is up — dialing retries with backoff).
@@ -92,14 +87,14 @@ class TransportBroker {
   /// Callable any time after start().
   void join(std::vector<std::pair<std::string, std::uint16_t>> neighbors,
             std::size_t expected_peers = 0);
-  /// Planned leave: waits for the inbox to drain, announces kGoodbye on
-  /// every connection (peers hand our routes back instead of quarantining
-  /// them), flushes send queues, then stops. Returns false if the flush
-  /// missed the deadline (the node still stops).
+  /// Planned leave: announces kGoodbye on every connection (peers hand our
+  /// routes back instead of quarantining them), flushes send queues, then
+  /// stops. Returns false if the flush missed the deadline (the node still
+  /// stops).
   bool leave(double timeout_ms = 5000.0);
-  /// Stops the match thread (draining its inbox), then the loop thread,
-  /// and closes every connection. A stop() without leave() is a crash as
-  /// far as peers are concerned: they detect it and quarantine our routes.
+  /// Stops the loop thread and closes every connection. A stop() without
+  /// leave() is a crash as far as peers are concerned: they detect it and
+  /// quarantine our routes.
   void stop();
 
   int id() const { return options_.id; }
@@ -108,9 +103,7 @@ class TransportBroker {
   // -- Edge attachment -----------------------------------------------------
   /// A forward the broker routed to the edge interface: the message plus
   /// its wire bytes, encoded exactly once and shared by reference with
-  /// every recipient. With match_threads > 1 this fires on the MATCH
-  /// thread — the handler must be thread-safe (the edge server posts into
-  /// its reactors, which is).
+  /// every recipient. Fires on the broker's loop thread.
   using EdgeDeliveryHandler = std::function<void(const Message&, SharedFrame)>;
 
   /// Registers the hosted edge server as one client interface of the
@@ -122,8 +115,8 @@ class TransportBroker {
 
   /// Injects a message into the broker as if it arrived on the edge
   /// interface (lease-refcounted subscribe/unsubscribe, client publishes).
-  /// Callable from any thread; ordered with network traffic by riding the
-  /// same loop->inbox path. No-op before attach_edge.
+  /// Callable from any thread; posted to the loop thread, so it is ordered
+  /// with network traffic. No-op before attach_edge.
   void edge_send(Message msg);
 
   // -- Cross-thread observables --------------------------------------------
@@ -141,12 +134,6 @@ class TransportBroker {
   }
   std::uint64_t backpressure_engagements() const {
     return backpressure_events_.load(std::memory_order_relaxed);
-  }
-  /// Inbound events accepted but not yet processed by the match thread
-  /// (always 0 with match_threads == 1). Quiescence checks must include
-  /// this: frames can be "received" yet still queued.
-  std::size_t queued_messages() const {
-    return queued_messages_.load(std::memory_order_relaxed);
   }
   /// Forwards that targeted a quarantined or vanished interface and were
   /// dropped (spool full or no spool) — the observable form of what used
@@ -182,13 +169,13 @@ class TransportBroker {
     return transport_->heartbeat_downs();
   }
 
-  /// Serialised routing state (router/snapshot format), taken on the
-  /// thread that owns the Broker so it is a consistent cut. Blocks the
-  /// caller; used by convergence checks.
+  /// Serialised routing state (router/snapshot format), taken on the loop
+  /// thread so it is a consistent cut. Blocks the caller; used by
+  /// convergence checks.
   std::string state_snapshot();
 
   /// Snapshot of the node's MetricsRegistry (per-connection byte/frame
-  /// series, plus the parallel engine's queue/worker series when the pool
+  /// series, plus the parallel engine's epoch/worker series when the pool
   /// is active) as JSON. Runs on the loop thread; blocks the caller.
   std::string metrics_json();
 
@@ -210,44 +197,23 @@ class TransportBroker {
     Counter* bytes_out = nullptr;
   };
 
-  /// One inbox entry for the match thread. Membership changes ride the
-  /// same FIFO as frames: an add_neighbor must reach the Broker before
-  /// any frame that arrived after the handshake, and making both flow
-  /// through one queue gives that ordering for free.
-  struct InboundEvent {
-    enum class Kind {
-      kFrame,
-      kAddNeighbor,
-      kAddClient,
-      /// Withdraw an interface's routes (goodbye, or crash rejoin
-      /// superseding the dead incarnation's interface).
-      kDropInterface,
-      /// Arm Broker::begin_resync(count) ahead of the SyncState replies a
-      /// join() is about to solicit.
-      kBeginResync,
-      /// Barrier: serialise the broker's state on its owning thread.
-      kInspect,
-    };
-    Kind kind = Kind::kFrame;
-    IfaceId iface;
-    Message msg;  // kFrame only
-    /// Publication frames keep their wire bytes (the decoder's borrowed
-    /// span is dead once the loop thread feeds more data, so the inbox
-    /// owns a copy) — the match thread forwards them without re-encoding.
-    std::vector<std::uint8_t> frame;
-    std::size_t count = 0;  // kBeginResync only
-    std::shared_ptr<std::promise<std::string>> inspect;  // kInspect only
+  /// A frame held for the run a pool broker hands to handle_batch when
+  /// the read that surfaced it ends. `frame` borrows from the connection's
+  /// decoder, which nothing feeds again before then.
+  struct PendingFrame {
+    IfaceId from;
+    Message msg;
+    std::span<const std::uint8_t> frame;
   };
 
-  /// ForwardSink that encodes each outgoing message immediately (on the
-  /// calling thread) and hands the wire bytes to `emit`.
+  /// ForwardSink that puts each outgoing message on its interface.
   class EncodingSink;
 
   void on_peer(Connection* connection, const wire::Hello& hello);
   void on_frame(Connection* connection, wire::Decoded&& decoded);
-  /// Intercepts forwards aimed at the edge interface (any Broker-owning
-  /// thread): encodes-or-copies the frame ONCE into a SharedFrame and
-  /// hands it to the edge handler. Returns false for non-edge interfaces.
+  /// Intercepts forwards aimed at the edge interface: encodes-or-copies
+  /// the frame ONCE into a SharedFrame and hands it to the edge handler.
+  /// Returns false for non-edge interfaces.
   bool deliver_edge(IfaceId iface, const Message& msg,
                     std::span<const std::uint8_t> frame);
   void on_disconnect(Connection* connection, const std::string& reason);
@@ -258,16 +224,19 @@ class TransportBroker {
   /// connection; spools it when the interface is quarantined, else counts
   /// the drop.
   void send_encoded(IfaceId interface_id, std::vector<std::uint8_t> frame);
-  void enqueue_event(InboundEvent event);
-  /// Routes a broker-state mutation to whichever thread owns the Broker:
-  /// the inbox in async mode (ordered with traffic), inline otherwise.
-  void dispatch_event(InboundEvent event);
-  /// Runs one event against the Broker on its owning thread; `sink`
-  /// receives any control traffic the mutation emits.
-  void apply_event(InboundEvent& event, EncodingSink& sink);
+  /// Hands the held run to the Broker. Called when a read ends and before
+  /// every membership change, so the Broker sees frames and membership in
+  /// arrival order.
+  void flush();
+  /// Runs `batch` through the Broker, then any handback requested while it
+  /// ran.
+  void handle(std::span<const Broker::Inbound> batch);
+  /// Withdraws the interface's routes (goodbye, or a client's death). A
+  /// request made while the Broker is busy — a send inside handle() that
+  /// fails closes its socket at once — waits for that call to return.
+  void hand_back(IfaceId iface);
+  void apply_handbacks();
   void note_handle_status(const Broker::HandleStatus& status);
-  void match_loop();
-  bool async() const { return options_.config.match_threads > 1; }
 
   Options options_;
   std::unique_ptr<EventLoop> loop_;
@@ -308,23 +277,24 @@ class TransportBroker {
   /// join(); decremented as dials complete.
   std::size_t join_syncs_pending_ = 0;
   /// Monotonic start of the in-flight join (0 = none); consumed by
-  /// note_handle_status on whichever thread owns the Broker.
-  std::atomic<double> join_started_ms_{0.0};
+  /// note_handle_status.
+  double join_started_ms_ = 0.0;
 
-  // Match-thread inbox (async mode only).
-  std::mutex inbox_mutex_;
-  std::condition_variable inbox_cv_;
-  std::vector<InboundEvent> inbox_;
-  bool inbox_shutdown_ = false;
-  std::thread match_thread_;
+  // -- Intake (loop thread only) -------------------------------------------
+  /// Frames of the read in progress (pool brokers only).
+  std::vector<PendingFrame> pending_;
+  /// The run flush() is handling, moved out of pending_ first.
+  std::vector<PendingFrame> run_;
+  std::vector<Broker::Inbound> inbound_;
+  /// Interfaces whose routes await handback once the Broker is free.
+  std::vector<IfaceId> handbacks_;
+  bool in_broker_ = false;
 
   std::atomic<std::uint64_t> frames_in_{0};
   std::atomic<std::uint64_t> frames_out_{0};
   std::atomic<std::uint64_t> backpressure_events_{0};
   std::atomic<std::size_t> broker_peers_{0};
   std::atomic<std::size_t> client_peers_{0};
-  std::atomic<std::size_t> queued_messages_{0};
-  std::atomic<std::uint64_t> batches_processed_{0};
   std::atomic<std::uint64_t> peer_down_drops_{0};
   std::atomic<std::uint64_t> spooled_frames_{0};
   std::atomic<std::uint64_t> resyncs_completed_{0};
@@ -333,10 +303,8 @@ class TransportBroker {
   std::atomic<double> last_join_convergence_ms_{0.0};
 
   // -- Edge attachment -----------------------------------------------------
-  /// Interface id of the attached edge server (-1 = none). Written on the
-  /// loop thread before the kAddClient event is dispatched, so the match
-  /// thread observes the handler before the Broker can forward to it.
-  std::atomic<int> edge_iface_{-1};
+  /// Interface id of the attached edge server (-1 = none).
+  int edge_iface_ = -1;
   EdgeDeliveryHandler edge_handler_;
 };
 

@@ -32,7 +32,10 @@ void Connection::on_io(std::uint32_t events) {
     return;
   }
   if ((events & kWritable) && fd_ >= 0) handle_writable();
-  if ((events & kReadable) && fd_ >= 0 && !close_deferred_) handle_readable();
+  if ((events & kReadable) && fd_ >= 0 && !close_deferred_) {
+    handle_readable();
+    if (on_read_done_) on_read_done_();
+  }
   in_dispatch_ = false;
   if (close_deferred_) {
     close_deferred_ = false;

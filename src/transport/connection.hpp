@@ -61,6 +61,10 @@ class Connection {
   /// queued byte was handed to the kernel). Drives event-driven drain
   /// waiters; never called while frames are still pending.
   using DrainHandler = std::function<void()>;
+  /// Called after each read has surfaced its frames, before a hang-up seen
+  /// by that read closes the connection. The frames' Decoded::raw spans
+  /// are still valid here: the decoder is fed again only by the next read.
+  using ReadDoneHandler = std::function<void()>;
 
   /// Takes ownership of `fd` (a connected, non-blocking socket).
   Connection(EventLoop* loop, int fd, Options options);
@@ -76,6 +80,9 @@ class Connection {
   }
   void set_drain_handler(DrainHandler handler) {
     on_drain_ = std::move(handler);
+  }
+  void set_read_done_handler(ReadDoneHandler handler) {
+    on_read_done_ = std::move(handler);
   }
 
   /// Registers with the loop and starts reading.
@@ -141,6 +148,7 @@ class Connection {
   CloseHandler on_close_;
   BackpressureHandler on_backpressure_;
   DrainHandler on_drain_;
+  ReadDoneHandler on_read_done_;
   ConnectionStats stats_;
 };
 

@@ -91,15 +91,6 @@ std::uint64_t LoopbackOverlay::total_frames() const {
   return total;
 }
 
-std::size_t LoopbackOverlay::total_queued() const {
-  // Frames accepted by an async broker's loop thread but still waiting in
-  // its match-thread inbox: "received" by the frame counters, yet their
-  // consequences have not happened. Quiescence must wait these out too.
-  std::size_t total = 0;
-  for (const auto& broker : brokers_) total += broker->queued_messages();
-  return total;
-}
-
 bool LoopbackOverlay::wait_quiescent(int settle_ms, int timeout_ms) {
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(timeout_ms);
@@ -109,7 +100,7 @@ bool LoopbackOverlay::wait_quiescent(int settle_ms, int timeout_ms) {
     sleep_ms(10);
     std::uint64_t now = total_frames();
     auto t = std::chrono::steady_clock::now();
-    if (now != last || total_queued() != 0) {
+    if (now != last) {
       last = now;
       stable_since = t;
     } else if (t - stable_since >= std::chrono::milliseconds(settle_ms)) {

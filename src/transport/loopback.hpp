@@ -51,7 +51,6 @@ class LoopbackOverlay {
 
  private:
   std::uint64_t total_frames() const;
-  std::size_t total_queued() const;
 
   Topology topology_;
   Options options_;

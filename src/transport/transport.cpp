@@ -200,6 +200,9 @@ void Transport::adopt_socket(int fd, bool dialed, std::shared_ptr<Dial> dial) {
     }
     if (on_frame_) on_frame_(raw, std::move(decoded));
   });
+  raw->set_read_done_handler([this, raw] {
+    if (on_read_done_) on_read_done_(raw);
+  });
 
   raw->set_close_handler([this, raw](const std::string& reason) {
     auto it = connections_.find(raw);
@@ -249,10 +252,21 @@ void Transport::heartbeat_tick() {
   ticker_armed_ = false;
   if (shutting_down_) return;
   double now = loop_->now_ms();
-  std::vector<Connection*> downed;
+  // A beacon whose send fails closes its connection at once, and the close
+  // handlers may close others: walk a copy of the keys, look each one up
+  // again, and touch nothing a failed send destroyed.
+  std::vector<Connection*> established;
   for (auto& [connection, entry] : connections_) {
-    if (!entry.established || !entry.health) continue;
-    connection->send(wire::encode_heartbeat(entry.heartbeat_seq++));
+    if (entry.established && entry.health) established.push_back(connection);
+  }
+  std::vector<Connection*> downed;
+  for (Connection* connection : established) {
+    auto it = connections_.find(connection);
+    if (it == connections_.end()) continue;
+    Entry& entry = it->second;
+    if (!connection->send(wire::encode_heartbeat(entry.heartbeat_seq++))) {
+      continue;
+    }
     if (!connection->read_enabled()) {
       // Reads are paused (ingress flow control): the silence is ours, not
       // the peer's — its heartbeats are sitting unread in the socket
@@ -274,6 +288,7 @@ void Transport::heartbeat_tick() {
   // Closing mutates connections_ through the close handlers; do it outside
   // the iteration. The close feeds the ordinary disconnect + re-dial path.
   for (Connection* connection : downed) {
+    if (connections_.count(connection) == 0) continue;
     heartbeat_downs_.fetch_add(1, std::memory_order_relaxed);
     connection->close("heartbeat: peer down");
   }

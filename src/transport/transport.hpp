@@ -58,6 +58,9 @@ class Transport {
       std::function<void(Connection*, const wire::Hello& hello)>;
   /// A message frame arrived from an established peer.
   using FrameHandler = std::function<void(Connection*, wire::Decoded&&)>;
+  /// A connection's read has surfaced all its frames (Connection's
+  /// ReadDoneHandler): the frames' raw bytes are valid until it returns.
+  using ReadDoneHandler = std::function<void(Connection*)>;
   /// An established peer's connection died.
   using DisconnectHandler =
       std::function<void(Connection*, const std::string& reason)>;
@@ -84,6 +87,9 @@ class Transport {
   void set_peer_handler(PeerHandler handler) { on_peer_ = std::move(handler); }
   void set_frame_handler(FrameHandler handler) {
     on_frame_ = std::move(handler);
+  }
+  void set_read_done_handler(ReadDoneHandler handler) {
+    on_read_done_ = std::move(handler);
   }
   void set_disconnect_handler(DisconnectHandler handler) {
     on_disconnect_ = std::move(handler);
@@ -175,6 +181,7 @@ class Transport {
   std::atomic<std::uint64_t> heartbeat_downs_{0};
   PeerHandler on_peer_;
   FrameHandler on_frame_;
+  ReadDoneHandler on_read_done_;
   DisconnectHandler on_disconnect_;
   DialFailedHandler on_dial_failed_;
   GoodbyeHandler on_goodbye_;

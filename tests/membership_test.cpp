@@ -3,7 +3,8 @@
 // socket that completes the handshake and then goes silent, the one
 // failure mode TCP cannot report), the incarnation fence against zombie
 // rejoins, live join's routing-state pull, planned leave's route
-// handback, and the quarantine spool with its overflow counter.
+// handback, the quarantine spool with its overflow counter, and the
+// intake contract for the frames one read surfaces.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -13,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -427,6 +429,174 @@ TEST(Membership, CrashRejoinRestoresDeliveryWithoutDuplicates) {
   subscriber.stop();
   reborn.stop();
   a.stop();
+}
+
+// -- Intake contract ---------------------------------------------------------
+//
+// What the broker's intake owes the frames one read surfaces, at every
+// thread count: each raw peer below writes its whole script in one send().
+
+std::vector<std::uint8_t> hello_frame(wire::Hello::PeerKind kind,
+                                      std::uint32_t id) {
+  wire::Hello hello;
+  hello.kind = kind;
+  hello.peer_id = id;
+  hello.max_version = wire::kProtocolVersion;
+  return wire::encode_hello(hello);
+}
+
+void append(std::vector<std::uint8_t>& bytes,
+            const std::vector<std::uint8_t>& frame) {
+  bytes.insert(bytes.end(), frame.begin(), frame.end());
+}
+
+std::vector<std::uint8_t> publication_frame(std::uint64_t doc_id) {
+  PublishMsg pub;
+  pub.path = parse_path("/x");
+  pub.doc_id = doc_id;
+  pub.doc_bytes = 100;
+  return wire::encode_frame(Message{pub});
+}
+
+/// The value of the unlabelled gauge `name` in a metrics_json() export
+/// (-1 when the export has no such series).
+double gauge_value(const std::string& json, const std::string& name) {
+  std::size_t at = json.find("\"name\": \"" + name + "\"");
+  if (at == std::string::npos) return -1.0;
+  at = json.find("\"value\": ", at);
+  return std::stod(json.substr(at + 9));
+}
+
+class MembershipIntake : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  TransportBroker::Options options(int id) const {
+    TransportBroker::Options opts = broker_opts(id);
+    opts.config.match_threads = GetParam();
+    return opts;
+  }
+};
+
+// A client writes a burst of publications and hangs up. The frames the
+// broker surfaced before the hang-up are traffic: every one is routed,
+// while the connection whose decoder their bytes live in is still alive.
+TEST_P(MembershipIntake, PublicationsWrittenBeforeAHangUpAreAllDelivered) {
+  TransportBroker broker(options(0));
+  broker.start();
+  TransportClient subscriber(client_opts(90));
+  subscriber.start("127.0.0.1", broker.port());
+  ASSERT_TRUE(subscriber.wait_connected());
+  subscriber.send(Message::subscribe(parse_xpe("/x")));
+  subscriber.sync();
+  ASSERT_TRUE(eventually([&] {
+    return broker.state_snapshot().find("/x") != std::string::npos;
+  }));
+
+  constexpr std::uint64_t kPublications = 200;
+  std::vector<std::uint8_t> script =
+      hello_frame(wire::Hello::PeerKind::kClient, 91);
+  std::set<std::uint64_t> expected;
+  for (std::uint64_t id = 1; id <= kPublications; ++id) {
+    append(script, publication_frame(id));
+    expected.insert(id);
+  }
+  int fd = raw_connect(broker.port());
+  ASSERT_GE(fd, 0);
+  send_all(fd, script);
+  // Hang up: the broker reads end-of-stream right behind the frames. (A
+  // half-close, so the broker's unread Hello cannot turn it into a reset.)
+  ::shutdown(fd, SHUT_WR);
+
+  EXPECT_TRUE(eventually(
+      [&] { return subscriber.delivered_docs().size() == kPublications; }));
+  EXPECT_EQ(subscriber.delivered_docs(), expected);
+  EXPECT_EQ(subscriber.duplicate_publications(), 0u);
+  ::close(fd);
+  subscriber.stop();
+  broker.stop();
+}
+
+// A broker peer subscribes and says goodbye in the same write. The
+// subscribe is handled before the goodbye hands the interface's routes
+// back, so the route does not outlive its peer.
+TEST_P(MembershipIntake, GoodbyeAfterASubscribeInOneWriteHandsTheRouteBack) {
+  TransportBroker broker(options(0));
+  broker.start();
+
+  // Control: a peer that subscribes and stays keeps its route.
+  std::vector<std::uint8_t> stays =
+      hello_frame(wire::Hello::PeerKind::kBroker, 8);
+  append(stays, wire::encode_frame(Message::subscribe(parse_xpe("/kept"))));
+  int stayer = raw_connect(broker.port());
+  ASSERT_GE(stayer, 0);
+  send_all(stayer, stays);
+  ASSERT_TRUE(eventually([&] {
+    return broker.state_snapshot().find("/kept") != std::string::npos;
+  }));
+
+  std::vector<std::uint8_t> leaves =
+      hello_frame(wire::Hello::PeerKind::kBroker, 9);
+  append(leaves, wire::encode_frame(Message::subscribe(parse_xpe("/x"))));
+  append(leaves, wire::encode_goodbye());
+  int leaver = raw_connect(broker.port());
+  ASSERT_GE(leaver, 0);
+  send_all(leaver, leaves);
+  ASSERT_TRUE(eventually([&] {
+    return broker.metrics_json().find("transport.goodbyes") !=
+           std::string::npos;
+  }));
+
+  std::string state = broker.state_snapshot();
+  EXPECT_EQ(state.find("/x"), std::string::npos) << state;
+  EXPECT_NE(state.find("/kept"), std::string::npos) << state;
+  ::close(leaver);
+  ::close(stayer);
+  broker.stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, MembershipIntake,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
+
+// With a worker pool, the publications one read surfaces are matched as
+// one run: a handful of epochs for a 64-publication write, never one per
+// frame.
+TEST(MembershipIntakeBatching, OneWriteOfPublicationsTakesAFewEpochs) {
+  TransportBroker::Options opts = broker_opts(0);
+  opts.config.match_threads = 4;
+  TransportBroker broker(std::move(opts));
+  broker.start();
+  TransportClient subscriber(client_opts(92));
+  subscriber.start("127.0.0.1", broker.port());
+  ASSERT_TRUE(subscriber.wait_connected());
+  subscriber.send(Message::subscribe(parse_xpe("/x")));
+  subscriber.sync();
+  ASSERT_TRUE(eventually([&] {
+    return broker.state_snapshot().find("/x") != std::string::npos;
+  }));
+  const double epochs_before = gauge_value(broker.metrics_json(), "match.epochs");
+  ASSERT_GE(epochs_before, 0.0);
+
+  constexpr std::uint64_t kPublications = 64;
+  std::vector<std::uint8_t> script =
+      hello_frame(wire::Hello::PeerKind::kClient, 93);
+  for (std::uint64_t id = 1; id <= kPublications; ++id) {
+    append(script, publication_frame(id));
+  }
+  int fd = raw_connect(broker.port());
+  ASSERT_GE(fd, 0);
+  send_all(fd, script);
+  ASSERT_TRUE(eventually(
+      [&] { return subscriber.delivered_docs().size() == kPublications; }));
+
+  const double epochs =
+      gauge_value(broker.metrics_json(), "match.epochs") - epochs_before;
+  EXPECT_GE(epochs, 1.0);
+  EXPECT_LT(epochs, 8.0);
+  ::close(fd);
+  subscriber.stop();
+  broker.stop();
 }
 
 }  // namespace

@@ -300,6 +300,11 @@ TEST(ParallelOptions, InvalidCombinationsAreRejected) {
   config.match_threads = 4;
   EXPECT_NO_THROW(Broker(0, config));
 
+  // Merging without a path universe would never merge.
+  config.merging_enabled = true;
+  EXPECT_THROW(Broker(0, config), std::invalid_argument);
+  config.merging_enabled = false;
+
   // Stage timings cannot be attributed across workers.
   Broker broker(0, config_with_threads(2));
   broker.add_neighbor(IfaceId{1});

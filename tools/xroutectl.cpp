@@ -37,7 +37,7 @@
 //   broker <id> <host> <port>
 //   link <a> <b>
 //   option <key> <value>      broker knob (router/broker_options.hpp),
-//                             e.g. 'option threads 4', 'option merging on'
+//                             e.g. 'option threads 4', 'option covering off'
 //
 // Every broker of one overlay is served from the same file; the lower id
 // of each link dials the higher, so a link is exactly one TCP connection.
