@@ -1,6 +1,6 @@
 // Failover scenario: broker crash-restart with and without state recovery.
 //
-// A dissemination network keeps routing state (SRT/PRT/client tables) at
+// A dissemination network keeps routing state (SRT/PRT/forwarding) at
 // every broker; losing a broker's state silently breaks delivery for the
 // subscribers behind it. This example snapshots a transit broker
 // (router/snapshot.h), crashes it, and contrasts a recovery restart with

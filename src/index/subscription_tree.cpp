@@ -34,6 +34,13 @@ bool may_cover(const Xpe& c, const Xpe& x) {
   return true;
 }
 
+/// Matches the absorbed pair (hop, xpe).
+auto absorbed_pair(IfaceId hop, const Xpe& xpe) {
+  return [hop, &xpe](const SubscriptionTree::Absorbed::value_type& pair) {
+    return pair.first == hop && pair.second == xpe;
+  };
+}
+
 }  // namespace
 
 bool SubscriptionTree::covers_cached(const Xpe& a, std::uint64_t a_sig,
@@ -104,6 +111,13 @@ SubscriptionTree::InsertResult SubscriptionTree::insert(const Xpe& xpe,
   if (Node* existing = find(xpe)) {
     InsertResult result;
     existing->hops.insert(hop);
+    Absorbed& absorbed = existing->absorbed;
+    if (existing->merger && std::none_of(absorbed.begin(), absorbed.end(),
+                                         absorbed_pair(hop, xpe))) {
+      // The hop asked for exactly the merger's XPE: it absorbs that too.
+      absorbed.emplace_back(hop, xpe);
+      existing->shared_absorbed.reset();
+    }
     // Hop-only change: compiled buckets copy hop lists — mark the
     // containing bucket.
     note_index_dirty(existing);
@@ -275,6 +289,7 @@ void SubscriptionTree::unlink_super(Node* node) {
 
 void SubscriptionTree::detach_node(Node* node) {
   unlink_super(node);
+  mergers_ -= node->merger;
   Node* parent = node->parent;
   note_index_dirty(node);
   if (parent == root_.get() && !index_all_dirty_) {
@@ -329,6 +344,7 @@ SubscriptionTree::Node* SubscriptionTree::merge_children(
   // merger adopted possibly elsewhere, covered siblings captured);
   // merges are periodic and rare, so attribute conservatively.
   index_all_dirty_ = true;
+  ++mergers_;
 
   auto merger = std::make_unique<Node>();
   merger->seq = next_seq_++;
@@ -352,8 +368,14 @@ SubscriptionTree::Node* SubscriptionTree::merge_children(
       raw->merged_from.insert(raw->merged_from.end(),
                               original->merged_from.begin(),
                               original->merged_from.end());
+      raw->absorbed.insert(raw->absorbed.end(), original->absorbed.begin(),
+                           original->absorbed.end());
+      --mergers_;
     } else {
       raw->merged_from.push_back(original->xpe);
+      for (IfaceId hop : original->hops) {
+        raw->absorbed.emplace_back(hop, original->xpe);
+      }
     }
     // Super pointers FROM the original still denote covering (the merger
     // is more general); re-home them unless the target is itself being
@@ -437,15 +459,63 @@ SubscriptionTree::Node* SubscriptionTree::merge_children(
 
 bool SubscriptionTree::remove(const Xpe& xpe, IfaceId hop) {
   Node* node = find(xpe);
-  if (!node || node->hops.erase(hop) == 0) return false;
-  if (node->hops.empty()) {
-    detach_node(node);
-  } else {
-    // Hop-only change: compiled buckets copy hop lists, so the bucket is
-    // stale even though the tree shape is untouched.
-    note_index_dirty(node);
+  if (node && node->hops.erase(hop) > 0) {
+    if (node->hops.empty()) {
+      detach_node(node);
+    } else {
+      auto of_hop = [hop](const auto& pair) { return pair.first == hop; };
+      if (std::erase_if(node->absorbed, of_hop)) node->shared_absorbed.reset();
+      // Hop-only change: compiled buckets copy hop lists, so the bucket
+      // is stale even though the tree shape is untouched.
+      note_index_dirty(node);
+    }
+    return true;
   }
-  return true;
+  if (Node* merger = find_absorber(xpe, hop)) {
+    Absorbed& absorbed = merger->absorbed;
+    absorbed.erase(std::find_if(absorbed.begin(), absorbed.end(),
+                                absorbed_pair(hop, xpe)));
+    note_absorbed_changed(merger);
+  }
+  return false;
+}
+
+SubscriptionTree::Node* SubscriptionTree::find_absorber(const Xpe& xpe,
+                                                        IfaceId hop) {
+  if (mergers_ == 0) return nullptr;
+  const std::uint64_t sig = symbol_sig(xpe);
+  std::vector<Node*> stack;
+  for (const auto& child : root_->children) stack.push_back(child.get());
+  while (!stack.empty()) {
+    Node* node = stack.back();
+    stack.pop_back();
+    if (!sig_may_cover(node->sig, sig)) continue;
+    if (std::any_of(node->absorbed.begin(), node->absorbed.end(),
+                    absorbed_pair(hop, xpe))) {
+      return node;
+    }
+    for (const auto& child : node->children) stack.push_back(child.get());
+  }
+  return nullptr;
+}
+
+void SubscriptionTree::restore_merger(const Xpe& xpe,
+                                      std::vector<Xpe> merged_from) {
+  Node* node = find(xpe);
+  if (!node) return;
+  mergers_ += !node->merger;
+  node->merger = true;
+  node->merged_from = std::move(merged_from);
+  node->shared_merged_from.reset();
+  note_index_dirty(node);
+}
+
+void SubscriptionTree::restore_absorbed(const Xpe& merger, IfaceId hop,
+                                        const Xpe& xpe) {
+  Node* node = find(merger);
+  if (!node || !node->merger || !node->hops.count(hop)) return;
+  node->absorbed.emplace_back(hop, xpe);
+  note_absorbed_changed(node);
 }
 
 bool SubscriptionTree::erase(const Xpe& xpe) {
@@ -503,13 +573,18 @@ std::size_t emit_subtree(const SubscriptionTree::Node* node, PrtBucket* out) {
   entry.hop_begin = static_cast<std::uint32_t>(out->hops.size());
   out->hops.insert(out->hops.end(), node->hops.begin(), node->hops.end());
   entry.hop_end = static_cast<std::uint32_t>(out->hops.size());
-  entry.merger = node->merger;
   if (node->merger) {
     if (!node->shared_merged_from) {
       node->shared_merged_from = std::shared_ptr<const std::vector<Xpe>>(
           new std::vector<Xpe>(node->merged_from));
     }
     entry.merged_from = node->shared_merged_from;
+    if (!node->shared_absorbed) {
+      using Absorbed = SubscriptionTree::Absorbed;
+      node->shared_absorbed =
+          std::shared_ptr<const Absorbed>(new Absorbed(node->absorbed));
+    }
+    entry.absorbed = node->shared_absorbed;
   }
   out->entries.push_back(std::move(entry));
   const std::size_t entries_before = out->entries.size();
@@ -555,6 +630,7 @@ void SubscriptionTree::for_each(
 
 std::string SubscriptionTree::validate() const {
   std::size_t seen = 0;
+  std::size_t mergers = 0;
   std::vector<const Node*> stack;
   for (const auto& child : root_->children) {
     if (child->parent != root_.get()) return "root child with bad parent link";
@@ -570,6 +646,12 @@ std::string SubscriptionTree::validate() const {
     }
     if (node->hops.empty() && !node->merger) {
       return "non-merger node without hops: " + node->xpe.to_string();
+    }
+    mergers += node->merger;
+    for (const auto& pair : node->absorbed) {
+      if (!node->merger || !node->hops.count(pair.first)) {
+        return "absorbed pair off the merger's hops: " + node->xpe.to_string();
+      }
     }
     for (const Node* target : node->super) {
       // A super target must be covered and must not be a descendant
@@ -598,6 +680,7 @@ std::string SubscriptionTree::validate() const {
     }
   }
   if (seen != by_xpe_.size()) return "lookup map size mismatch";
+  if (mergers != mergers_) return "merger count mismatch";
   // Root signature index: exactly one slot per root child, back-link and
   // signature in sync.
   if (root_nodes_.size() != root_->children.size() ||

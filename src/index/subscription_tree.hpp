@@ -33,6 +33,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "match/covering.hpp"
@@ -46,6 +47,9 @@ struct PrtBucket;  // router/routing_tables.hpp
 
 class SubscriptionTree {
  public:
+  /// (hop, XPE) pairs: what a merger absorbed from each hop.
+  using Absorbed = std::vector<std::pair<IfaceId, Xpe>>;
+
   struct Node {
     Xpe xpe;
     /// Insertion order, assigned once at creation. Sibling lists are
@@ -74,13 +78,19 @@ class SubscriptionTree {
     /// Merger bookkeeping (paper §4.3).
     bool merger = false;
     std::vector<Xpe> merged_from;
+    /// Merger only, for edge exactness: per hop in `hops`, the merged
+    /// originals it subscribed, the merger's own XPE if it subscribed
+    /// exactly that, and what a merged merger had absorbed from it.
+    /// Unlike `merged_from` (Fig. 9), it follows unsubscribes.
+    Absorbed absorbed;
     /// Lazily created immutable shares of the payloads index compilation
     /// needs (PrtBucket::Entry): one deep copy per node lifetime, shared
     /// by every recompile instead of copied into each bucket. `xpe` never
-    /// changes after node creation; `merged_from`'s post-creation
-    /// assignment site (restore_merger) resets the cache.
+    /// changes after node creation; every later edit of `merged_from` or
+    /// `absorbed` resets its cache.
     mutable std::shared_ptr<const Xpe> shared_xpe;
     mutable std::shared_ptr<const std::vector<Xpe>> shared_merged_from;
+    mutable std::shared_ptr<const Absorbed> shared_absorbed;
   };
 
   struct InsertResult {
@@ -114,6 +124,8 @@ class SubscriptionTree {
 
   /// Removes `hop` from the subscription; the node disappears when no hop
   /// remains. Returns true if the subscription existed with that hop.
+  /// Otherwise an XPE a merger absorbed from `hop` is dropped from the
+  /// merger's absorbed pairs (the merger still routes `hop`).
   bool remove(const Xpe& xpe, IfaceId hop);
 
   /// Removes the subscription entirely (all hops). Returns true if found.
@@ -161,7 +173,6 @@ class SubscriptionTree {
     index_dirty_keys_.clear();
     index_all_dirty_ = false;
   }
-  void mark_index_dirty() { index_all_dirty_ = true; }
 
   /// Compiles the bucket of `key` — every root child whose bucket_key()
   /// is `key`, in sibling order, each with its whole subtree in DFS
@@ -220,6 +231,12 @@ class SubscriptionTree {
   Node* merge_children(Node* parent, const std::vector<Node*>& originals,
                        const Xpe& merger_xpe);
 
+  /// Snapshot restore: makes the stored `xpe` a merger of `merged_from`,
+  /// or adds one absorbed pair to a merger routing `hop`; anything else
+  /// is ignored.
+  void restore_merger(const Xpe& xpe, std::vector<Xpe> merged_from);
+  void restore_absorbed(const Xpe& merger, IfaceId hop, const Xpe& xpe);
+
  private:
   InsertResult insert_new(const Xpe& xpe, IfaceId hop);
   void collect_covered_outside(Node* origin_node, std::vector<Xpe>* out);
@@ -233,6 +250,14 @@ class SubscriptionTree {
     return covers_cached(a->xpe, a->sig, b->xpe, b->sig);
   }
   void unlink_super(Node* node);
+  /// The merger holding absorbed pair (hop, xpe), or nullptr: free while
+  /// the tree holds no merger, else a DFS pruned by signature (a merger
+  /// covers what it absorbed).
+  Node* find_absorber(const Xpe& xpe, IfaceId hop);
+  void note_absorbed_changed(Node* merger) {
+    merger->shared_absorbed.reset();
+    note_index_dirty(merger);
+  }
 
   /// Bounded memo for covers() over canonical XPE uid pairs. Entries bind
   /// XPE *values* — covers(a, b) is a pure function of the two
@@ -270,6 +295,7 @@ class SubscriptionTree {
     root_sigs_.pop_back();
   }
   std::unordered_map<Xpe, Node*, XpeHash> by_xpe_;
+  std::size_t mergers_ = 0;  ///< merger nodes in the tree
   mutable std::size_t comparisons_ = 0;
 
   mutable std::unordered_map<std::uint64_t, bool> cover_cache_;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "match/pub_match.hpp"
 #include "router/match_scheduler.hpp"
 #include "router/snapshot.hpp"
 
@@ -35,6 +34,16 @@ class StageTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// The broker's one way into a sink: every decision is one DeliveryEvent.
+/// A suppression is count-only: its event carries no message.
+void emit(ForwardSink& sink, IfaceId iface, const Message& msg,
+          std::span<const std::uint8_t> frame = {},
+          DeliveryEvent::Kind kind = DeliveryEvent::Kind::kForward) {
+  const bool suppressed = kind == DeliveryEvent::Kind::kSuppressed;
+  sink.on_event(
+      DeliveryEvent{kind, iface, suppressed ? nullptr : &msg, frame});
+}
+
 }  // namespace
 
 Broker::Broker(int id, BrokerOptions config)
@@ -56,7 +65,7 @@ Broker::Broker(Broker&& other)
     : id_(other.id_),
       config_(std::move(other.config_)),
       neighbors_(std::move(other.neighbors_)),
-      edge_(std::move(other.edge_)),
+      clients_(std::move(other.clients_)),
       srt_(std::move(other.srt_)),
       prt_(std::move(other.prt_)),
       forwarded_to_(std::move(other.forwarded_to_)),
@@ -77,14 +86,7 @@ void Broker::add_neighbor(IfaceId interface_id) {
 }
 
 void Broker::add_client(IfaceId interface_id) {
-  mutable_edge().clients.insert(interface_id);
-}
-
-Broker::Edge& Broker::mutable_edge() {
-  // Only handle_batch shares edge_ (its pin for the pipelined window), and
-  // only on this thread: use_count() is exact here.
-  if (edge_.use_count() > 1) edge_ = std::make_shared<Edge>(*edge_);
-  return *edge_;
+  clients_.insert(interface_id);
 }
 
 void Broker::drop_interface(IfaceId interface_id, ForwardSink& sink) {
@@ -111,9 +113,7 @@ void Broker::drop_interface(IfaceId interface_id, ForwardSink& sink) {
                        sink, &ignored);
   }
   neighbors_.erase(interface_id);
-  Edge& edge = mutable_edge();
-  edge.clients.erase(interface_id);
-  edge.client_subs.erase(interface_id);
+  clients_.erase(interface_id);
   // Forwarding records may still name the interface (subscriptions we had
   // sent *to* the peer); scrub it so later unsubscriptions do not chase a
   // dead edge.
@@ -130,23 +130,6 @@ void Broker::restore_advertisement(const Advertisement& adv,
 
 void Broker::restore_subscription(const Xpe& xpe, const IfaceSet& hops) {
   for (IfaceId hop : hops) prt_.insert(xpe, hop);
-}
-
-void Broker::restore_merger(const Xpe& merger,
-                            const std::vector<Xpe>& originals) {
-  if (!prt_.covering()) return;
-  if (SubscriptionTree::Node* node = prt_.tree()->find(merger)) {
-    node->merger = true;
-    node->merged_from = originals;
-    node->shared_merged_from.reset();
-    // Direct node surgery bypasses the tree's dirty tracking.
-    prt_.mark_index_dirty();
-  }
-}
-
-void Broker::restore_client_table(IfaceId interface_id,
-                                  std::vector<Xpe> xpes) {
-  mutable_edge().client_subs[interface_id] = std::move(xpes);
 }
 
 void Broker::restore_forwarding(const Xpe& xpe, IfaceSet interfaces) {
@@ -244,12 +227,10 @@ Broker::HandleStatus Broker::handle_batch(std::span<const Inbound> batch,
            batch[end].msg->type() == MessageType::kPublish) {
       ++end;
     }
-    batch_pubs_.clear();
     batch_envelopes_.clear();
     batch_froms_.clear();
     batch_frames_.clear();
     batch_paths_.clear();
-    batch_pubs_.reserve(end - i);
     for (std::size_t j = i; j < end; ++j) {
       const auto& pub = std::get<PublishMsg>(batch[j].msg->payload);
       // Duplicate suppression runs sequentially up front, exactly as the
@@ -258,7 +239,6 @@ Broker::HandleStatus Broker::handle_batch(std::span<const Inbound> batch,
       if (!seen_publications_.insert(pub.doc_id, pub.path_id)) {
         continue;
       }
-      batch_pubs_.push_back(&pub);
       batch_envelopes_.push_back(batch[j].msg);
       batch_froms_.push_back(batch[j].from);
       batch_frames_.push_back(batch[j].frame);
@@ -268,9 +248,6 @@ Broker::HandleStatus Broker::handle_batch(std::span<const Inbound> batch,
       i = end;
       continue;
     }
-    // The edge state is pinned with the index: the window's first
-    // mutation copies it (mutable_edge), later ones edit that copy.
-    const std::shared_ptr<const Edge> pinned_edge = edge_;
     scheduler_->begin_batch(batch_paths_, prt_.index());
     // The pipelined control window: handle the control messages that
     // follow the publication run while the epoch is still in flight.
@@ -281,29 +258,30 @@ Broker::HandleStatus Broker::handle_batch(std::span<const Inbound> batch,
     // (subscribe + unsubscribe of the same XPE) never cost a bucket
     // recompile at all.
     std::size_t next = end;
-    window_sink_.clear();
+    window_forwards_.clear();
+    CollectingSink window(&window_forwards_);
     while (next < batch.size() &&
            batch[next].msg->type() != MessageType::kPublish) {
-      total += handle(batch[next].from, *batch[next].msg, window_sink_);
+      total += handle(batch[next].from, *batch[next].msg, window);
       ++next;
     }
     scheduler_->finish_batch(&batch_results_);
     std::size_t comparisons = 0;
-    for (std::size_t k = 0; k < batch_pubs_.size(); ++k) {
+    for (std::size_t k = 0; k < batch_paths_.size(); ++k) {
       HandleStatus out;
       out.publication_matched = !batch_results_[k].hops.empty();
       out.merger_false_matches = batch_results_[k].merger_false_matches;
       comparisons += batch_results_[k].comparisons;
-      // Forward against the pinned edge state: the window's control ops
-      // may already have changed the live one, but these publications
-      // were matched before them.
+      // The window's control ops may already have changed the tables, but
+      // exactness came from the pinned index these publications matched.
       forward_publication(batch_froms_[k], *batch_envelopes_[k],
-                          *batch_pubs_[k], batch_results_[k].hops,
-                          batch_frames_[k], *pinned_edge, sink, &out);
+                          batch_results_[k], batch_frames_[k], sink, &out);
       total += out;
     }
     prt_.add_comparisons(comparisons);
-    window_sink_.replay(sink);
+    for (const Forward& forward : window_forwards_) {
+      emit(sink, forward.interface, forward.message);
+    }
     i = next;
   }
   return total;
@@ -325,9 +303,8 @@ void Broker::handle_advertise(IfaceId from, const AdvertiseMsg& msg,
     StageTimer forward_timer(stages_ ? &stages_->forward_ms : nullptr);
     for (IfaceId neighbor : neighbors_) {
       if (neighbor != from) {
-        sink.on_forward(neighbor,
-                        Message::advertise(msg.advertisement,
-                                           msg.origin_broker));
+        emit(sink, neighbor,
+             Message::advertise(msg.advertisement, msg.origin_broker));
       }
     }
   }
@@ -347,7 +324,7 @@ void Broker::handle_advertise(IfaceId from, const AdvertiseMsg& msg,
     if (!srt_.entry_overlaps(*entry, xpe)) continue;
     IfaceSet& sent = forwarded_to_[xpe];
     if (sent.insert(from).second) {
-      sink.on_forward(from, Message::subscribe(xpe));
+      emit(sink, from, Message::subscribe(xpe));
     }
   }
 }
@@ -363,8 +340,8 @@ void Broker::handle_unadvertise(IfaceId from, const UnadvertiseMsg& msg,
   if (srt_.contains(msg.advertisement)) return;
   for (IfaceId neighbor : neighbors_) {
     if (neighbor != from) {
-      sink.on_forward(neighbor, Message::unadvertise(msg.advertisement,
-                                                     msg.origin_broker));
+      emit(sink, neighbor,
+           Message::unadvertise(msg.advertisement, msg.origin_broker));
     }
   }
 }
@@ -431,7 +408,7 @@ void Broker::forward_subscription(const Xpe& xpe, IfaceId exclude,
   for (IfaceId target : targets) {
     if (covered_on.count(target)) continue;  // a coverer routes this way
     if (sent.insert(target).second) {
-      sink.on_forward(target, Message::subscribe(xpe));
+      emit(sink, target, Message::subscribe(xpe));
     }
   }
   if (sent.empty()) forwarded_to_.erase(xpe);
@@ -444,7 +421,7 @@ void Broker::unsubscribe_covered(const Xpe& covered, const IfaceSet& via,
   if (it == forwarded_to_.end()) return;
   for (IfaceId target : via) {
     if (it->second.erase(target) > 0) {
-      sink.on_forward(target, Message::unsubscribe(covered));
+      emit(sink, target, Message::unsubscribe(covered));
     }
   }
   if (it->second.empty()) forwarded_to_.erase(it);
@@ -457,7 +434,7 @@ void Broker::forward_unsubscription(const Xpe& xpe, IfaceId exclude,
   if (it == forwarded_to_.end()) return;
   for (IfaceId target : it->second) {
     if (target != exclude) {
-      sink.on_forward(target, Message::unsubscribe(xpe));
+      emit(sink, target, Message::unsubscribe(xpe));
     }
   }
   forwarded_to_.erase(it);
@@ -466,9 +443,6 @@ void Broker::forward_unsubscription(const Xpe& xpe, IfaceId exclude,
 void Broker::handle_subscribe(IfaceId from, const SubscribeMsg& msg,
                               ForwardSink& sink, HandleStatus* out) {
   (void)out;
-  if (edge_->clients.count(from)) {
-    mutable_edge().client_subs[from].push_back(msg.xpe);
-  }
   Prt::InsertOutcome outcome = [&] {
     StageTimer match_timer(stages_ ? &stages_->prt_match_ms : nullptr);
     return prt_.insert(msg.xpe, from);
@@ -516,19 +490,6 @@ void Broker::handle_subscribe(IfaceId from, const SubscribeMsg& msg,
 void Broker::handle_unsubscribe(IfaceId from, const UnsubscribeMsg& msg,
                                 ForwardSink& sink, HandleStatus* out) {
   (void)out;
-  const std::vector<Xpe>* subs =
-      edge_->clients.count(from) ? edge_->subscriptions_of(from) : nullptr;
-  if (subs) {
-    auto pos = std::find(subs->begin(), subs->end(), msg.xpe);
-    if (pos != subs->end()) {
-      // By offset: if a window pins the edge state, mutable_edge() edits
-      // a copy, which `pos` does not point into.
-      const auto offset = pos - subs->begin();
-      std::vector<Xpe>& owned = mutable_edge().client_subs[from];
-      owned.erase(owned.begin() + offset);
-    }
-  }
-
   // Subscriptions the departing one covered (tree children and super
   // targets) may have been absorbed on its account: re-issue them after
   // removal (forward_subscription skips interfaces where another coverer
@@ -562,49 +523,32 @@ void Broker::handle_unsubscribe(IfaceId from, const UnsubscribeMsg& msg,
 }
 
 void Broker::forward_publication(IfaceId from, const Message& envelope,
-                                 const PublishMsg& msg,
-                                 std::span<const IfaceId> hops,
+                                 const PrtMatch& match,
                                  std::span<const std::uint8_t> frame,
-                                 const Edge& edge, ForwardSink& sink,
-                                 HandleStatus* out) {
+                                 ForwardSink& sink, HandleStatus* out) {
   // The hop list is sorted and deduplicated: several matching
   // subscriptions sharing a next hop yield one forwarded copy, and the
   // ascending order is the determinism anchor for the parallel engine.
-  // Edge-exactness checks against the clients' original XPEs count as
-  // forwarding work (stage attribution).
   StageTimer forward_timer(stages_ ? &stages_->forward_ms : nullptr);
+  const std::vector<IfaceId>& hops = match.hops;
   if (hops.empty() || (hops.size() == 1 && hops.front() == from)) return;
+  const std::vector<IfaceId>& inexact = match.inexact_hops;
   // The caller's envelope is shared by every hop — no per-publication
   // Message copy; sinks that need ownership copy at the edge, and the
   // transport resends `frame` without touching the Message at all.
   for (IfaceId hop : hops) {
     if (hop == from) continue;
-    if (edge.clients.count(hop)) {
-      // Edge exactness: deliver only if one of the client's original XPEs
-      // matches; merged-entry surplus is a network-internal false positive
-      // and is suppressed here (paper §4.3: "The false positives are not
-      // delivered to subscribers").
-      const std::vector<Xpe>* originals = edge.subscriptions_of(hop);
-      bool exact = false;
-      if (originals) {
-        for (const Xpe& original : *originals) {
-          if (matches(msg.path, original)) {
-            exact = true;
-            break;
-          }
-        }
-      }
-      if (exact) {
-        sink.on_local_delivery_pub(hop, envelope, frame);
-        ++out->deliveries;
-      } else {
-        // Count-only: no Message copy, no Message reference at all — the
-        // suppression event names the client and nothing else.
-        sink.on_suppressed(hop);
-        ++out->suppressed_false_positives;
-      }
+    if (!clients_.count(hop)) {
+      emit(sink, hop, envelope, frame);
+    } else if (!std::binary_search(inexact.begin(), inexact.end(), hop)) {
+      emit(sink, hop, envelope, frame, DeliveryEvent::Kind::kLocalDelivery);
+      ++out->deliveries;
     } else {
-      sink.on_forward_pub(hop, envelope, frame);
+      // Edge exactness: an imperfect-merging false positive stays in the
+      // network (paper §4.3: "The false positives are not delivered to
+      // subscribers").
+      emit(sink, hop, envelope, {}, DeliveryEvent::Kind::kSuppressed);
+      ++out->suppressed_false_positives;
     }
   }
 }
@@ -628,22 +572,22 @@ void Broker::handle_publish(IfaceId from, const Message& envelope,
   }
   out->merger_false_matches += match.merger_false_matches;
   out->publication_matched = !match.hops.empty();
-  // Nothing ran between match and forward: the live edge state is the
-  // matched-against state.
-  forward_publication(from, envelope, msg, match.hops, frame, *edge_, sink,
-                      out);
+  forward_publication(from, envelope, match, frame, sink, out);
 }
 
 void Broker::handle_sync_request(IfaceId from, ForwardSink& sink) {
+  // Link-state transfer runs between brokers only: a client's routes come
+  // from its own subscribes, which edge exactness relies on.
+  if (clients_.count(from)) return;
   // A neighbour restarted cold: replay the slice of our state that
   // concerns the shared link. Restoration on the other side is passive, so
   // the transfer is bounded by this link's state — no network-wide storm.
-  sink.on_forward(from,
-                  Message::sync_state(export_link_state(*this, from)));
+  emit(sink, from, Message::sync_state(export_link_state(*this, from)));
 }
 
 void Broker::handle_sync_state(IfaceId from, const SyncStateMsg& msg,
                                HandleStatus* out) {
+  if (clients_.count(from)) return;  // as in handle_sync_request
   import_link_state(*this, from, msg.state);
   if (pending_syncs_ > 0 && --pending_syncs_ == 0) {
     out->resync_completed = true;

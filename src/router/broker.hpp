@@ -14,8 +14,11 @@
 //     subscribed upstream and the originals unsubscribed.
 //
 // Edge exactness: a broker delivers a publication to a local client only
-// if one of the client's *original* XPEs matches, so false positives from
-// imperfect merging stay inside the network (paper §4.3/§5).
+// if one of the client's own XPEs matches, so false positives from
+// imperfect merging stay inside the network (paper §4.3/§5). The compiled
+// PRT index decides it while matching (PrtMatch::inexact_hops): a hop
+// reached only through mergers is exact only for what it subscribed and
+// the mergers absorbed.
 //
 // The broker is a pure message transformer: handle() maps one incoming
 // message to a stream of outgoing (interface, message) pairs pushed into a
@@ -30,12 +33,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
 #include <utility>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "index/merging.hpp"
@@ -93,42 +94,12 @@ struct DeliveryEvent {
 /// emits them — transports can put frames on the wire without waiting for
 /// the whole call to finish, and tests can byte-compare the event
 /// sequence across thread counts.
-///
-/// The historical five-method surface (on_forward / on_local_delivery /
-/// on_suppressed plus the frame-carrying _pub twins) lives on as thin
-/// non-virtual emitters below: broker internals and older call sites keep
-/// their spelling, every sink implements exactly one method.
 class ForwardSink {
  public:
   virtual ~ForwardSink() = default;
 
   /// The single sink method: every outgoing decision lands here.
   virtual void on_event(const DeliveryEvent& event) = 0;
-
-  // -- Compatibility shims (emitters, not overridables) --------------------
-  void on_forward(IfaceId iface, const Message& msg) {
-    on_event(DeliveryEvent{DeliveryEvent::Kind::kForward, iface, &msg, {}});
-  }
-  void on_local_delivery(IfaceId client, const Message& msg) {
-    on_event(
-        DeliveryEvent{DeliveryEvent::Kind::kLocalDelivery, client, &msg, {}});
-  }
-  /// Count-only: suppression deliberately carries no Message (the old
-  /// `const Message&` parameter was never used by any sink, and dropping
-  /// it lets the broker suppress without touching the envelope at all).
-  void on_suppressed(IfaceId client) {
-    on_event(
-        DeliveryEvent{DeliveryEvent::Kind::kSuppressed, client, nullptr, {}});
-  }
-  void on_forward_pub(IfaceId iface, const Message& msg,
-                      std::span<const std::uint8_t> frame) {
-    on_event(DeliveryEvent{DeliveryEvent::Kind::kForward, iface, &msg, frame});
-  }
-  void on_local_delivery_pub(IfaceId client, const Message& msg,
-                             std::span<const std::uint8_t> frame) {
-    on_event(DeliveryEvent{DeliveryEvent::Kind::kLocalDelivery, client, &msg,
-                           frame});
-  }
 };
 
 class Broker {
@@ -139,14 +110,13 @@ class Broker {
   };
 
   /// Collects every outgoing message into a vector, preserving emission
-  /// order. The adapter behind the legacy HandleResult API; also the
-  /// natural sink for tests.
+  /// order. The adapter behind the legacy HandleResult API and the
+  /// pipelined window's buffer; also the natural sink for tests.
   class CollectingSink : public ForwardSink {
    public:
     explicit CollectingSink(std::vector<Forward>* out) : out_(out) {}
     void on_event(const DeliveryEvent& event) override {
-      // Suppressions send nothing, so the legacy forward list skips them
-      // (exactly what the old default-ignoring on_suppressed did).
+      // Suppressions send nothing, so the forward list skips them.
       if (event.kind == DeliveryEvent::Kind::kSuppressed) return;
       out_->push_back(Forward{event.iface, event.message()});
     }
@@ -172,8 +142,8 @@ class Broker {
 
   /// Per-call counters; the messages themselves go to the ForwardSink.
   struct HandleStatus {
-    /// Publications that matched a (merged) PRT entry pointing at a local
-    /// client but none of the client's own XPEs: suppressed at the edge.
+    /// Client hops a publication reached only as an imperfect-merging
+    /// false positive (PrtMatch::inexact_hops): suppressed at the edge.
     std::size_t suppressed_false_positives = 0;
     /// Publications delivered to local clients in this call.
     std::size_t deliveries = 0;
@@ -207,28 +177,12 @@ class Broker {
   /// One queued inbound message, for handle_batch(). The message is
   /// borrowed, not owned — it must stay alive for the call. `frame` is
   /// the message's wire frame when the caller has it (the transport's
-  /// read buffer); publications carrying one are forwarded via the sink's
-  /// frame-aware hooks so transports can resend the bytes untouched.
+  /// read buffer); a publication's events carry it, so transports can
+  /// resend the bytes untouched.
   struct Inbound {
     IfaceId from = kNoIface;
     const Message* msg = nullptr;
     std::span<const std::uint8_t> frame{};
-  };
-
-  /// The edge state the forward stage's edge-exactness check reads: the
-  /// locally attached clients and each client's original XPEs.
-  /// Copy-on-write: handle_batch pins it for its pipelined window, and a
-  /// mutator copies it only while that pin holds it, so a sequential
-  /// broker never copies it.
-  struct Edge {
-    IfaceSet clients;
-    std::map<IfaceId, std::vector<Xpe>> client_subs;
-
-    /// The client's original XPEs, or nullptr if it has none.
-    const std::vector<Xpe>* subscriptions_of(IfaceId client) const {
-      auto it = client_subs.find(client);
-      return it == client_subs.end() ? nullptr : &it->second;
-    }
   };
 
   /// Throws std::invalid_argument if `config.validate()` rejects the
@@ -287,7 +241,6 @@ class Broker {
   }
   std::size_t merges_applied() const { return merges_applied_; }
   const IfaceSet& neighbors() const { return neighbors_; }
-  const Edge& edge() const { return *edge_; }
 
   /// The parallel engine, or nullptr when match_threads == 1 (metrics
   /// export and tests).
@@ -304,8 +257,6 @@ class Broker {
   /// Restore-time mutators: rebuild state without emitting messages.
   void restore_advertisement(const Advertisement& adv, const IfaceSet& hops);
   void restore_subscription(const Xpe& xpe, const IfaceSet& hops);
-  void restore_merger(const Xpe& merger, const std::vector<Xpe>& originals);
-  void restore_client_table(IfaceId interface_id, std::vector<Xpe> xpes);
   void restore_forwarding(const Xpe& xpe, IfaceSet interfaces);
   /// Adds one interface to a forwarding record (link resync restores the
   /// per-link slice without clobbering records from other links).
@@ -335,23 +286,18 @@ class Broker {
                          HandleStatus* out);
   void run_merge_pass(ForwardSink& sink);
 
-  /// The forward stage of a publication: edge-exactness per client hop,
-  /// plain forward per neighbour hop. Identical for sequential, parallel
+  /// The forward stage of a publication: per client hop, delivery or
+  /// suppression as the match decided (`match.inexact_hops`); per
+  /// neighbour hop, a plain forward. Identical for sequential, parallel
   /// and batched paths — determinism lives here (hop lists are sorted).
   /// `envelope` is the original message (no per-publication deep copy);
-  /// `frame` is its wire frame or empty. `edge` is the edge state the
-  /// publication was matched against: with control ops pipelined into
-  /// the match epoch, the live state may already be ahead of it.
+  /// `frame` is its wire frame or empty. The match came from the index
+  /// the publication was pinned to, so control ops pipelined into the
+  /// epoch cannot change how it is forwarded.
   void forward_publication(IfaceId from, const Message& envelope,
-                           const PublishMsg& msg,
-                           std::span<const IfaceId> hops,
+                           const PrtMatch& match,
                            std::span<const std::uint8_t> frame,
-                           const Edge& edge, ForwardSink& sink,
-                           HandleStatus* out);
-
-  /// The edge state for mutation: copied first if a pipelined window
-  /// still pins the current one.
-  Edge& mutable_edge();
+                           ForwardSink& sink, HandleStatus* out);
 
   /// Next-hop broker interfaces for a subscription: SRT overlap when
   /// advertisements are on, otherwise every neighbour. `exclude` is the
@@ -386,9 +332,9 @@ class Broker {
   /// Stage sink of the handle() call in flight (null = untraced).
   StageTimings* stages_ = nullptr;
   IfaceSet neighbors_;
-  /// Null only in a moved-from broker; shared only while handle_batch
-  /// pins it (see Edge).
-  std::shared_ptr<Edge> edge_ = std::make_shared<Edge>();
+  /// Locally attached clients. Changed only by add_client and
+  /// drop_interface, never inside handle_batch's window.
+  IfaceSet clients_;
   Srt srt_;
   Prt prt_;
   /// Worker pool for parallel publication matching; null when
@@ -397,42 +343,11 @@ class Broker {
   /// broker mutates prt_/srt_ freely while an epoch runs (no quiesce
   /// barrier), and the next epoch's pin compiles what changed.
   std::unique_ptr<MatchScheduler> scheduler_;
-  /// Defers forwards emitted by control messages processed while a batch
-  /// epoch is in flight, replayed after the epoch's publications forward
-  /// — preserving the sequential emission order (see handle_batch).
-  class BufferedSink : public ForwardSink {
-   public:
-    void on_event(const DeliveryEvent& event) override {
-      Item item;
-      item.kind = event.kind;
-      item.iface = event.iface;
-      // The event borrows; the buffer outlives the call, so it owns
-      // copies — except for suppressions, which carry no message at all
-      // (the count-only contract holds through the replay).
-      if (event.has_message()) item.msg = event.message();
-      item.frame.assign(event.frame.begin(), event.frame.end());
-      items_.push_back(std::move(item));
-    }
-    void replay(ForwardSink& sink) {
-      for (const Item& item : items_) {
-        const bool suppressed = item.kind == DeliveryEvent::Kind::kSuppressed;
-        sink.on_event(DeliveryEvent{item.kind, item.iface,
-                                    suppressed ? nullptr : &item.msg,
-                                    item.frame});
-      }
-    }
-    void clear() { items_.clear(); }
-
-   private:
-    struct Item {
-      DeliveryEvent::Kind kind = DeliveryEvent::Kind::kForward;
-      IfaceId iface = kNoIface;
-      Message msg;
-      std::vector<std::uint8_t> frame;
-    };
-    std::vector<Item> items_;
-  };
-  BufferedSink window_sink_;
+  /// Control traffic of the messages handled while a batch epoch is in
+  /// flight, replayed after the epoch's publications forward — preserving
+  /// the sequential emission order (see handle_batch). Control messages
+  /// emit plain forwards only: no suppression, no frame.
+  std::vector<Forward> window_forwards_;
   /// Interfaces each subscription was forwarded to (for unsubscription).
   std::unordered_map<Xpe, IfaceSet, XpeHash> forwarded_to_;
   std::size_t new_subs_since_merge_ = 0;
@@ -447,7 +362,6 @@ class Broker {
   SeenWindow seen_publications_;
   // handle_batch staging scratch, reused across batches so the steady
   // state allocates nothing.
-  std::vector<const PublishMsg*> batch_pubs_;
   std::vector<const Message*> batch_envelopes_;
   std::vector<IfaceId> batch_froms_;
   std::vector<std::span<const std::uint8_t>> batch_frames_;

@@ -159,6 +159,8 @@ void MatchScheduler::worker_loop(std::size_t worker_index) {
         index->match(intern_path(*paths_[task], symbols), &distinct, &cell);
         PrtMatch& slot = results_[task];
         slot.hops.assign(cell.hops.begin(), cell.hops.end());
+        slot.inexact_hops.assign(cell.inexact_hops.begin(),
+                                 cell.inexact_hops.end());
         slot.merger_false_matches = cell.merger_false_matches;
         slot.comparisons = cell.comparisons;
         ++claimed;

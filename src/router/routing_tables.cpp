@@ -252,14 +252,6 @@ void Prt::clear_index_dirty() const {
   }
 }
 
-void Prt::mark_index_dirty() {
-  if (covering_) {
-    tree_->mark_index_dirty();
-  } else {
-    flat_all_dirty_ = true;
-  }
-}
-
 void Prt::compile_bucket(std::uint32_t key, PrtBucket* out) const {
   if (covering_) {
     tree_->compile_bucket(key, out);
@@ -389,19 +381,28 @@ void PrtIndex::scan_bucket(const PrtBucket& bucket, const PathView& ip,
     const PrtBucket::Entry& entry = bucket.entries[k++];
     ++out->comparisons;
     if (matches_program(ip, w, n, *entry.xpe)) {
-      out->hops.insert(out->hops.end(), bucket.hops.begin() + entry.hop_begin,
-                       bucket.hops.begin() + entry.hop_end);
-      if (entry.merger) {
+      const auto first = bucket.hops.begin() + entry.hop_begin;
+      const auto last = bucket.hops.begin() + entry.hop_end;
+      if (!entry.absorbed) {
+        out->hops.insert(out->hops.end(), first, last);
+      } else {
         // A merger match that no merged original backs is an in-network
         // false positive introduced by imperfect merging (paper Fig. 9).
-        bool backed = false;
-        for (const Xpe& original : *entry.merged_from) {
-          if (matches(*ip.path, original)) {
-            backed = true;
-            break;
-          }
+        const auto& originals = *entry.merged_from;
+        if (std::none_of(originals.begin(), originals.end(),
+                         [&](const Xpe& x) { return matches(*ip.path, x); })) {
+          ++out->merger_false_matches;
         }
-        if (!backed) ++out->merger_false_matches;
+        // Edge exactness: a hop is exact through a merger only for what
+        // the merger absorbed from that hop.
+        for (auto hop = first; hop != last; ++hop) {
+          const bool exact = std::any_of(
+              entry.absorbed->begin(), entry.absorbed->end(),
+              [&](const auto& pair) {
+                return pair.first == *hop && matches(*ip.path, pair.second);
+              });
+          (exact ? out->hops : out->inexact_hops).push_back(*hop);
+        }
       }
       w += n;
     } else {
@@ -429,6 +430,16 @@ void PrtIndex::match(const PathView& ip, std::vector<std::uint32_t>* distinct,
   out->clear();
   scan(ip, *distinct, out);
   canonicalize_hops(&out->hops);
+  if (out->inexact_hops.empty()) return;
+  // A hop some entry reached exactly is exact; the rest join `hops`.
+  std::vector<IfaceId>& exact = out->hops;
+  std::vector<IfaceId>& inexact = out->inexact_hops;
+  canonicalize_hops(&inexact);
+  std::erase_if(inexact, [&](IfaceId hop) {
+    return std::binary_search(exact.begin(), exact.end(), hop);
+  });
+  exact.insert(exact.end(), inexact.begin(), inexact.end());
+  canonicalize_hops(&exact);
 }
 
 void PrtIndex::distinct_symbols(const PathView& ip,

@@ -102,7 +102,8 @@ class Srt {
 /// carries what the walk needs beyond the program: the XPE (predicate
 /// evaluation, merger backing checks), the hop list (flattened into
 /// `hops`, so a bucket is three contiguous allocations) and the merger
-/// metadata. Flat tables compile to the same layout with zero skips.
+/// metadata, which decides edge exactness per hop. Flat tables compile to
+/// the same layout with zero skips.
 struct PrtBucket {
   struct Entry {
     /// Shared, not copied: the owning node/flat entry caches one
@@ -112,9 +113,9 @@ struct PrtBucket {
     std::shared_ptr<const Xpe> xpe;
     std::uint32_t hop_begin = 0;
     std::uint32_t hop_end = 0;
-    bool merger = false;
-    /// Non-null iff `merger`; shared like `xpe`.
+    /// Both non-null iff the entry is a merger; shared like `xpe`.
     std::shared_ptr<const std::vector<Xpe>> merged_from;
+    std::shared_ptr<const SubscriptionTree::Absorbed> absorbed;
 
     /// Pointer identity on the shared payloads — deliberately: equal
     /// pointers mean "the same subscription, still present", which is
@@ -145,9 +146,16 @@ struct PrtMatch {
   /// Matching hops. PrtIndex::match leaves them sorted ascending and
   /// deduplicated; PrtIndex::scan appends them in visit order with
   /// duplicates (deferring the dedup to one sort+unique replaces a
-  /// per-node red-black-tree insert on the hottest loop). clear() keeps
-  /// the capacity, so a reused PrtMatch allocates nothing at steady state.
+  /// per-node red-black-tree insert on the hottest loop), except those it
+  /// puts in `inexact_hops`. clear() keeps the capacity, so a reused
+  /// PrtMatch allocates nothing at steady state.
   std::vector<IfaceId> hops;
+  /// Edge exactness (paper §4.3): hops reached only through mergers that
+  /// absorbed nothing from them matching the path — imperfect-merging
+  /// false positives there. (A non-merger entry's hops are exactly the
+  /// interfaces that subscribed its XPE.) Empty unless a merger matched;
+  /// after PrtIndex::match, sorted and a subset of `hops`.
+  std::vector<IfaceId> inexact_hops;
   /// Matches against merger entries not backed by any merged original
   /// (covering mode; the paper's in-network false positives, Fig. 9).
   std::size_t merger_false_matches = 0;
@@ -156,6 +164,7 @@ struct PrtMatch {
 
   void clear() {
     hops.clear();
+    inexact_hops.clear();
     merger_false_matches = 0;
     comparisons = 0;
   }
@@ -239,10 +248,6 @@ class Prt {
   SubscriptionTree* tree() { return tree_.get(); }
   const SubscriptionTree* tree() const { return tree_.get(); }
 
-  /// Forces the next refresh to recompile every bucket (after node
-  /// surgery that bypasses the tables' dirty tracking).
-  void mark_index_dirty();
-
  private:
   bool index_dirty() const;
   const std::set<std::uint32_t>& index_dirty_keys() const;
@@ -298,13 +303,16 @@ class PrtIndex {
 
   /// Appends the hops of every entry matching `ip` into `out`, in visit
   /// order and with duplicates: the side bucket first, then the buckets
-  /// of `distinct_symbols` in order; one comparison per reached entry.
+  /// of `distinct_symbols` in order; one comparison per reached entry. A
+  /// merger's hops go to `inexact_hops` unless the path matches what the
+  /// merger absorbed from them.
   void scan(const PathView& ip,
             std::span<const std::uint32_t> distinct_symbols,
             PrtMatch* out) const;
 
   /// Whole-table match: clears `out`, scans, and sorts and deduplicates
-  /// its hops. `distinct` is caller scratch.
+  /// its hops; an inexact hop that some entry reached exactly is exact.
+  /// `distinct` is caller scratch.
   void match(const PathView& ip, std::vector<std::uint32_t>* distinct,
              PrtMatch* out) const;
 

@@ -13,7 +13,7 @@ namespace xroute {
 namespace {
 
 constexpr const char kHeaderPrefix[] = "xroute-broker-snapshot";
-constexpr const char kHeader[] = "xroute-broker-snapshot 1";
+constexpr const char kHeader[] = "xroute-broker-snapshot 2";
 constexpr const char kSyncHeader[] = "xroute-link-sync 1";
 
 /// Rejects a first line that is not exactly `expected`, distinguishing an
@@ -75,13 +75,11 @@ void save_snapshot(const Broker& broker, std::ostream& out) {
         out << '\t' << original.to_string();
       }
       out << '\n';
+      for (const auto& [hop, xpe] : node.absorbed) {
+        out << "absorbed\t" << node.xpe.to_string() << '\t' << hop.value()
+            << '\t' << xpe.to_string() << '\n';
+      }
     });
-  }
-
-  for (const auto& [interface_id, xpes] : broker.edge().client_subs) {
-    out << "client\t" << interface_id.value();
-    for (const Xpe& xpe : xpes) out << '\t' << xpe.to_string();
-    out << '\n';
   }
 
   for (const auto& [xpe, interfaces] : broker.forwarding_record()) {
@@ -96,7 +94,6 @@ void save_snapshot(const Broker& broker, std::ostream& out) {
 
 void load_snapshot(Broker& broker, std::istream& in) {
   if (broker.srt_size() > 0 || broker.prt_size() > 0 ||
-      !broker.edge().client_subs.empty() ||
       !broker.forwarding_record().empty()) {
     throw std::logic_error(
         "load_snapshot: broker already holds routing state; restore "
@@ -108,6 +105,8 @@ void load_snapshot(Broker& broker, std::istream& in) {
                      std::string(kHeader) + "')");
   }
   check_header(line, kHeader, kHeaderPrefix, "snapshot");
+  // Merger records go to the covering tree (a flat table has none).
+  SubscriptionTree* tree = broker.prt().tree();
   bool ended = false;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
@@ -140,15 +139,13 @@ void load_snapshot(Broker& broker, std::istream& in) {
       for (std::size_t i = 2; i < fields.size(); ++i) {
         originals.push_back(parse_xpe(fields[i]));
       }
-      broker.restore_merger(merger, originals);
-    } else if (kind == "client") {
-      if (fields.size() < 2) throw ParseError("snapshot: bad client line");
-      IfaceId interface_id{parse_int(fields[1])};
-      std::vector<Xpe> xpes;
-      for (std::size_t i = 2; i < fields.size(); ++i) {
-        xpes.push_back(parse_xpe(fields[i]));
-      }
-      broker.restore_client_table(interface_id, std::move(xpes));
+      if (tree) tree->restore_merger(merger, std::move(originals));
+    } else if (kind == "absorbed") {
+      if (fields.size() != 4) throw ParseError("snapshot: bad absorbed line");
+      Xpe merger = parse_xpe(fields[1]);
+      IfaceId hop{parse_int(fields[2])};
+      Xpe xpe = parse_xpe(fields[3]);
+      if (tree) tree->restore_absorbed(merger, hop, xpe);
     } else if (kind == "fwd") {
       if (fields.size() < 2) throw ParseError("snapshot: bad fwd line");
       Xpe xpe = parse_xpe(fields[1]);

@@ -1,21 +1,21 @@
 // Broker state snapshot & restore.
 //
-// A broker's routing state is fully reconstructible from four relations:
+// A broker's routing state is fully reconstructible from three relations:
 // SRT entries (advertisement, hops), PRT subscriptions (XPE, hops, merger
-// metadata), per-client original XPEs, and the forwarding record
-// (XPE, interfaces). The snapshot serialises them to a line-oriented text
-// format (every element already has an exact textual round-trip) so a
-// restarted broker resumes routing without a network-wide re-subscription
-// storm.
+// metadata, including what each merger absorbed per hop, from which edge
+// exactness is decided), and the forwarding record (XPE, interfaces). The
+// snapshot serialises them to a line-oriented text format (every element
+// already has an exact textual round-trip) so a restarted broker resumes
+// routing without a network-wide re-subscription storm.
 //
 // Format (one record per line, '\t'-separated fields; strings are the
 // canonical to_string forms, which never contain tabs or newlines):
 //
-//   xroute-broker-snapshot 1
+//   xroute-broker-snapshot 2
 //   srt\t<advertisement>\t<hop>...
 //   sub\t<xpe>\t<hop>...
 //   merger\t<xpe>\t<original>...
-//   client\t<interface>\t<xpe>...
+//   absorbed\t<merger xpe>\t<hop>\t<xpe>
 //   fwd\t<xpe>\t<interface>...
 //   end
 #pragma once

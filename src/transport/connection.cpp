@@ -26,15 +26,19 @@ void Connection::start() {
 
 void Connection::on_io(std::uint32_t events) {
   in_dispatch_ = true;
-  if (events & kError) {
-    in_dispatch_ = false;
-    close("socket error");
-    return;
-  }
   if ((events & kWritable) && fd_ >= 0) handle_writable();
-  if ((events & kReadable) && fd_ >= 0 && !close_deferred_) {
+  // A reset or hang-up can arrive with the peer's last frames still
+  // queued ahead of it: read them out first (the read sees the error and
+  // defers the close), unless reads are paused.
+  const bool readable =
+      (events & kReadable) || ((events & kError) && read_enabled_);
+  if (readable && fd_ >= 0 && !close_deferred_) {
     handle_readable();
     if (on_read_done_) on_read_done_();
+  }
+  if ((events & kError) && !close_deferred_) {
+    close_deferred_ = true;
+    deferred_reason_ = "socket error";
   }
   in_dispatch_ = false;
   if (close_deferred_) {
@@ -45,6 +49,8 @@ void Connection::on_io(std::uint32_t events) {
 
 void Connection::handle_readable() {
   std::uint8_t buffer[64 * 1024];
+  // How the read ended the stream, if it did; applied after the frames.
+  const char* ended = nullptr;
   for (;;) {
     ssize_t n = ::read(fd_, buffer, sizeof(buffer));
     if (n > 0) {
@@ -54,18 +60,17 @@ void Connection::handle_readable() {
       continue;
     }
     if (n == 0) {
-      close_deferred_ = true;
-      deferred_reason_ = "peer closed";
+      ended = "peer closed";
       break;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
-    close_deferred_ = true;
-    deferred_reason_ = "read error";
+    ended = "read error";
     break;
   }
-  // Surface every complete frame, even when the peer also closed: the
-  // bytes before the close are valid traffic.
+  // Surface every complete frame first, whatever ended the read: the bytes
+  // before a close or a reset are valid traffic. Only a decode error or
+  // the handler's own close() stops early.
   while (!close_deferred_) {
     wire::Decoded decoded = decoder_.next();
     if (decoded.status == wire::DecodeStatus::kNeedMore) break;
@@ -79,15 +84,9 @@ void Connection::handle_readable() {
     if (on_frame_) on_frame_(std::move(decoded));
     if (fd_ < 0) return;  // handler closed us outside dispatch guard
   }
-  // Drain frames that arrived before a deferred close as well.
-  if (close_deferred_ && deferred_reason_ == "peer closed") {
-    for (;;) {
-      wire::Decoded decoded = decoder_.next();
-      if (!decoded.ok()) break;
-      stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
-      if (on_frame_) on_frame_(std::move(decoded));
-      if (fd_ < 0) return;
-    }
+  if (ended && !close_deferred_) {
+    close_deferred_ = true;
+    deferred_reason_ = ended;
   }
 }
 

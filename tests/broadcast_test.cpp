@@ -249,14 +249,16 @@ TEST(BroadcastSink, EnqueuesMatchedPublicationsOnce) {
   BroadcastScheduler scheduler(BroadcastOptions{1, 1});
   BroadcastSink sink(&scheduler);
 
+  using Kind = DeliveryEvent::Kind;
   Message pub{make_pub({"a", "b"}, 1)};
   // Forward + local delivery of the same publication: one air bucket.
-  sink.on_forward(IfaceId{1}, pub);
-  sink.on_local_delivery(IfaceId{2}, pub);
+  sink.on_event(DeliveryEvent{Kind::kForward, IfaceId{1}, &pub});
+  sink.on_event(DeliveryEvent{Kind::kLocalDelivery, IfaceId{2}, &pub});
   // Suppressed events carry no message at all and must not enqueue.
-  sink.on_suppressed(IfaceId{3});
+  sink.on_event(DeliveryEvent{Kind::kSuppressed, IfaceId{3}});
   // Control traffic never goes on the air.
-  sink.on_forward(IfaceId{1}, Message::subscribe(parse_xpe("/a")));
+  const Message subscribe = Message::subscribe(parse_xpe("/a"));
+  sink.on_event(DeliveryEvent{Kind::kForward, IfaceId{1}, &subscribe});
   scheduler.flush();
 
   EXPECT_EQ(scheduler.stats(0).publications, 1u);

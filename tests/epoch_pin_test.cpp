@@ -2,12 +2,10 @@
 // against the compiled PRT index it pinned at launch (a shared_ptr), so
 // the index must outlive any refresh the control thread runs meanwhile
 // and be freed once the epoch finishes; without pins, a refresh frees
-// the index it replaces. The broker's pipelined window pins the edge
-// state (client set, original XPEs) the same way: a control op inside
-// the window must not change how the window's own publications are
-// forwarded, and the edge state is copied only when a pinned window
-// actually changes it. The index refresh's structural sharing is pinned
-// in prt_index_test.
+// the index it replaces. Edge exactness comes from that pinned index
+// too: a control op inside the broker's pipelined window must not change
+// how the window's own publications are delivered. The index refresh's
+// structural sharing is pinned in prt_index_test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -183,10 +181,9 @@ TEST(EpochPin, UnsubscribeInTheWindowStillReceivesTheMatchedPublication) {
   }
 }
 
-// Pointer identity of the edge state across windows: a window whose
-// control ops leave it alone copies nothing, a window that changes it
-// copies it (threaded) or edits it in place (sequential: nothing pins
-// it), and the result stays in place across later windows.
+// Windows whose control ops leave the clients' subscriptions alone, net
+// out, or change another client's, then later windows: the subscribed
+// client receives every publication.
 TEST(EpochPin, EdgeStateIsCopiedOnlyByWindowsThatChangeIt) {
   for (std::size_t threads : {1, 4}) {
     SCOPED_TRACE(threads);
@@ -210,39 +207,24 @@ TEST(EpochPin, EdgeStateIsCopiedOnlyByWindowsThatChangeIt) {
     broker.handle(kClient, Message::subscribe(parse_xpe("/news/article")),
                   sink);
     run_window(kNeighbor, {});
-    const Broker::Edge* before = &broker.edge();
-
     run_window(kNeighbor, {Message::subscribe(parse_xpe("/news/sports")),
                            Message::unsubscribe(parse_xpe("/news/sports"))});
-    EXPECT_EQ(&broker.edge(), before);
-
     run_window(kOtherClient, {Message::subscribe(parse_xpe("/a")),
                               Message::subscribe(parse_xpe("/b")),
                               Message::unsubscribe(parse_xpe("/a"))});
-    const Broker::Edge* after = &broker.edge();
-    if (threads == 1) {
-      EXPECT_EQ(after, before);
-    } else {
-      EXPECT_NE(after, before);
-    }
-    ASSERT_NE(broker.edge().subscriptions_of(kOtherClient), nullptr);
-    EXPECT_EQ(*broker.edge().subscriptions_of(kOtherClient),
-              std::vector<Xpe>{parse_xpe("/b")});
-
     run_window(kNeighbor, {Message::subscribe(parse_xpe("/news/weather"))});
-    EXPECT_EQ(&broker.edge(), after);
     EXPECT_EQ(sink.delivered.size(), 8u);
   }
 }
 
-// Outside a window nothing pins the edge state, so a threaded broker
-// edits it in place exactly like a sequential one.
+// Control ops and a client teardown outside any window, on a threaded
+// broker as on a sequential one: the publication between them is
+// delivered once.
 TEST(EpochPin, UnpinnedMutationsEditTheEdgeStateInPlace) {
   for (std::size_t threads : {1, 4}) {
     SCOPED_TRACE(threads);
     Broker broker(0, options_with_threads(threads));
     broker.add_neighbor(kNeighbor);
-    const Broker::Edge* edge = &broker.edge();
     broker.add_client(kClient);
     DeliverySink sink;
     broker.handle(kClient, Message::subscribe(parse_xpe("/news/article")),
@@ -251,9 +233,9 @@ TEST(EpochPin, UnpinnedMutationsEditTheEdgeStateInPlace) {
     broker.handle(kNeighbor, pub, sink);
     broker.handle(kClient, Message::unsubscribe(parse_xpe("/news/article")),
                   sink);
-    broker.restore_client_table(kOtherClient, {parse_xpe("/a")});
+    broker.add_client(kOtherClient);
+    broker.handle(kOtherClient, Message::subscribe(parse_xpe("/a")), sink);
     broker.drop_interface(kOtherClient, sink);
-    EXPECT_EQ(&broker.edge(), edge);
     EXPECT_EQ(sink.delivered, std::vector<IfaceId>{kClient});
   }
 }

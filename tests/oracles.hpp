@@ -9,9 +9,10 @@
 // The file also holds the reference twins of the routing tables' indexed
 // lookups (linear scans with the string matchers): the differential
 // oracles for the PRT's compiled index and the SRT's symbol index, and the
-// "before" baselines of bench/perf_routing; and the covering tree's
+// "before" baselines of bench/perf_routing; the covering tree's
 // unpruned insert and remove, the oracle of its signature-pruned
-// maintenance.
+// maintenance; and the per-client scan, the oracle of the edge exactness
+// the compiled index decides.
 #pragma once
 
 #include <algorithm>
@@ -211,8 +212,9 @@ inline IfaceSet match_hops_scan(const Prt& prt, const Path& path,
 }
 
 /// The compiled index's uncollapsed match for `path`: every matching entry
-/// contributes its hops once, so comparing against the scans' per-entry
-/// hops is an entry-level differential, not just a hop-set one.
+/// contributes its hops once (a merger's inexact ones included), so
+/// comparing against the scans' per-entry hops is an entry-level
+/// differential, not just a hop-set one.
 inline std::multiset<IfaceId> uncollapsed_hops(const Prt& prt,
                                                const Path& path) {
   const InternedPath ip(path);
@@ -220,7 +222,21 @@ inline std::multiset<IfaceId> uncollapsed_hops(const Prt& prt,
   PrtIndex::distinct_symbols(ip.view(), &distinct);
   PrtMatch match;
   prt.index()->scan(ip.view(), distinct, &match);
-  return {match.hops.begin(), match.hops.end()};
+  std::multiset<IfaceId> hops(match.hops.begin(), match.hops.end());
+  hops.insert(match.inexact_hops.begin(), match.inexact_hops.end());
+  return hops;
+}
+
+/// The edge-exactness oracle, a scan of one client's live XPEs: a
+/// publication that reached the client's hop is delivered iff one of them
+/// matches `path`; anything else is an imperfect-merging false positive
+/// and is suppressed (paper §4.3).
+inline bool client_delivery_scan(const std::vector<Xpe>& client_xpes,
+                                 const Path& path) {
+  for (const Xpe& xpe : client_xpes) {
+    if (matches(path, xpe)) return true;
+  }
+  return false;
 }
 
 /// Srt::entry_overlaps with the pre-interning string element comparisons.

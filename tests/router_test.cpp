@@ -331,6 +331,66 @@ TEST(BrokerMerging, MergePassEmitsMergerAndUnsubs) {
   EXPECT_EQ(ra.suppressed_false_positives, 1u);  // kClient2's entry
 }
 
+// Edge exactness follows every absorbed subscription to the client that
+// made it: through an imperfect merge, a client subscribing the merger's
+// own XPE, a second merge that absorbs that merger, and an unsubscribe of
+// an absorbed original.
+TEST(BrokerMerging, ExactnessFollowsEachClientsOwnSubscriptions) {
+  Dtd dtd = parse_dtd(R"(
+<!ELEMENT r (x | y)+>
+<!ELEMENT x (a | b | c)>
+<!ELEMENT y (a | b | c)>
+<!ELEMENT a EMPTY><!ELEMENT b EMPTY><!ELEMENT c EMPTY>
+)");
+  PathUniverse universe(dtd);
+  BrokerOptions config;
+  config.use_advertisements = false;
+  config.merging_enabled = true;
+  config.merge_universe = &universe;
+  config.merge_interval = 2;
+  config.merge_options.max_imperfect_degree = 0.5;
+  Broker broker = make_broker(config);
+  auto delivered_to = [&](const char* path) {
+    std::vector<IfaceId> out;
+    for (const auto& fwd : broker.handle(kUp, pub(path)).forwards) {
+      if (fwd.interface == kClient || fwd.interface == kClient2) {
+        out.push_back(fwd.interface);
+      }
+    }
+    return out;
+  };
+  using Ifaces = std::vector<IfaceId>;
+
+  // /r/x/a + /r/x/b merge into /r/x/*, which also matches /r/x/c.
+  broker.handle(kClient, Message::subscribe(X("/r/x/a")));
+  broker.handle(kClient2, Message::subscribe(X("/r/x/b")));
+  ASSERT_EQ(broker.merges_applied(), 1u);
+  EXPECT_EQ(delivered_to("/r/x/a"), Ifaces{kClient});
+  EXPECT_EQ(delivered_to("/r/x/c"), Ifaces{});
+
+  // kClient2 subscribes the merger's own XPE: /r/x/c is now its own.
+  broker.handle(kClient2, Message::subscribe(X("/r/x/*")));
+  EXPECT_EQ(delivered_to("/r/x/c"), Ifaces{kClient2});
+
+  // /r/y/a + /r/y/b merge into /r/y/*, and that merges with /r/x/* into
+  // /r/*/*: what each client absorbed travels into the new merger.
+  broker.handle(kClient, Message::subscribe(X("/r/y/a")));
+  broker.handle(kLeft, Message::subscribe(X("/r/y/b")));
+  ASSERT_EQ(broker.merges_applied(), 3u);
+  ASSERT_EQ(broker.prt_size(), 1u);
+  EXPECT_EQ(delivered_to("/r/x/c"), Ifaces{kClient2});
+  EXPECT_EQ(delivered_to("/r/y/a"), Ifaces{kClient});
+  EXPECT_EQ(delivered_to("/r/y/c"), Ifaces{});
+  auto yc = broker.handle(kUp, pub("/r/y/c"));
+  EXPECT_EQ(yc.suppressed_false_positives, 2u);
+  EXPECT_EQ(targets(yc, MessageType::kPublish), Ifaces{kLeft});
+
+  // Unsubscribing an absorbed original withdraws exactly that one.
+  broker.handle(kClient, Message::unsubscribe(X("/r/x/a")));
+  EXPECT_EQ(delivered_to("/r/x/a"), Ifaces{kClient2});
+  EXPECT_EQ(delivered_to("/r/y/a"), Ifaces{kClient});
+}
+
 TEST(BrokerUnadvertise, WithdrawsAndFloods) {
   Broker broker = make_broker({});
   Advertisement adv = Advertisement::from_elements({"a", "b"});
@@ -369,16 +429,28 @@ TEST(BrokerUnadvertise, UnknownAdvertisementIgnored) {
   EXPECT_TRUE(r.forwards.empty());
 }
 
+// A client receives what its live subscriptions match, and nothing after
+// it withdraws them; a neighbour's subscription routes a publication to
+// the neighbour but never delivers it locally.
 TEST(BrokerClientTable, TracksOriginals) {
   Broker broker = make_broker({});
   broker.handle(kClient, Message::subscribe(X("/a")));
   broker.handle(kClient, Message::subscribe(X("/b")));
-  const auto* subs = broker.edge().subscriptions_of(kClient);
-  ASSERT_NE(subs, nullptr);
-  EXPECT_EQ(subs->size(), 2u);
+  broker.handle(kRight, Message::subscribe(X("/c")));
+  EXPECT_EQ(broker.handle(kUp, pub("/a")).deliveries, 1u);
+  EXPECT_EQ(broker.handle(kUp, pub("/b")).deliveries, 1u);
+
   broker.handle(kClient, Message::unsubscribe(X("/a")));
-  EXPECT_EQ(broker.edge().subscriptions_of(kClient)->size(), 1u);
-  EXPECT_EQ(broker.edge().subscriptions_of(kRight), nullptr);
+  auto a = broker.handle(kUp, pub("/a"));
+  EXPECT_TRUE(a.forwards.empty());
+  EXPECT_EQ(a.suppressed_false_positives, 0u);
+  auto b = broker.handle(kUp, pub("/b"));
+  EXPECT_EQ(b.deliveries, 1u);
+  EXPECT_EQ(targets(b, MessageType::kPublish), std::vector<IfaceId>{kClient});
+
+  auto c = broker.handle(kUp, pub("/c"));
+  EXPECT_EQ(c.deliveries, 0u);
+  EXPECT_EQ(targets(c, MessageType::kPublish), std::vector<IfaceId>{kRight});
 }
 
 // --- Indexed routing tables vs linear-scan reference --------------------

@@ -139,12 +139,11 @@ TEST(Snapshot, MergingRoundTripForwardingBitIdentical) {
   config.merge_interval = 2;
   Broker original = make_broker(config);
   // Client originals on two interfaces plus a neighbour subscription, so
-  // the snapshot carries mergers, client tables and forwarding records.
+  // the snapshot carries mergers, absorbed lists and forwarding records.
   original.handle(kClient, Message::subscribe(X("/r/x/a")));
   original.handle(kClient, Message::subscribe(X("/r/x/b")));
   original.handle(kRight, Message::subscribe(X("/r/x")));
   ASSERT_GE(original.merges_applied(), 1u);
-  ASSERT_FALSE(original.edge().client_subs.empty());
 
   std::string snapshot = snapshot_to_string(original);
   Broker restored = make_broker(config);
@@ -206,11 +205,15 @@ TEST(Snapshot, MalformedInputs) {
   expect_parse_error("");
   expect_parse_error("wrong header\nend\n");
   // sub without hops
-  expect_parse_error("xroute-broker-snapshot 1\nsub\t/a\n");
-  expect_parse_error("xroute-broker-snapshot 1\nbogus\tx\nend\n");
+  expect_parse_error("xroute-broker-snapshot 2\nsub\t/a\n");
+  expect_parse_error("xroute-broker-snapshot 2\nbogus\tx\nend\n");
   // truncated: no 'end'
-  expect_parse_error("xroute-broker-snapshot 1\nsub\t/a\t1\n");
-  expect_parse_error("xroute-broker-snapshot 1\nsrt\t/a\tNaN\nend\n");
+  expect_parse_error("xroute-broker-snapshot 2\nsub\t/a\t1\n");
+  expect_parse_error("xroute-broker-snapshot 2\nsrt\t/a\tNaN\nend\n");
+  // absorbed without a hop or XPEs
+  expect_parse_error("xroute-broker-snapshot 2\nabsorbed\t/a\t1\nend\n");
+  // version 1's per-client tables are gone
+  expect_parse_error("xroute-broker-snapshot 2\nclient\t10\t/a\nend\n");
 }
 
 TEST(Snapshot, UnsupportedVersionHeaderIsParseError) {
@@ -220,7 +223,7 @@ TEST(Snapshot, UnsupportedVersionHeaderIsParseError) {
   };
   // Right format, future version: rejected with a clear ParseError rather
   // than misparsed.
-  expect_parse_error("xroute-broker-snapshot 2\nend\n");
+  expect_parse_error("xroute-broker-snapshot 3\nend\n");
   expect_parse_error("xroute-broker-snapshot\nend\n");
   // Foreign header entirely.
   expect_parse_error("xroute-link-sync 1\nend\n");
@@ -229,8 +232,8 @@ TEST(Snapshot, UnsupportedVersionHeaderIsParseError) {
 TEST(Snapshot, RestoreIntoNonEmptyBrokerIsLogicError) {
   Broker populated = populated_broker();
   std::string snapshot = snapshot_to_string(populated);
-  // Any pre-existing routing state vetoes a restore: SRT/PRT entries,
-  // client tables, or forwarding records.
+  // Any pre-existing routing state vetoes a restore: SRT/PRT entries or
+  // forwarding records.
   EXPECT_THROW(snapshot_from_string(populated, snapshot), std::logic_error);
 
   Broker subscribed = make_broker();
@@ -250,6 +253,35 @@ TEST(Snapshot, EmptyBrokerRoundTrip) {
   snapshot_from_string(restored, snapshot_to_string(original));
   EXPECT_EQ(restored.prt_size(), 0u);
   EXPECT_EQ(restored.srt_size(), 0u);
+}
+
+// Link-state transfer runs between brokers. A client's routes come only
+// from its own subscribes — what edge exactness relies on — so a SyncState
+// arriving on a client interface imports nothing, and a SyncRequest there
+// gets no reply.
+TEST(LinkSync, ClientSyncStateImportsNothing) {
+  Broker broker = make_broker();
+  broker.begin_resync(1);
+  const std::string state = "xroute-link-sync 1\nsub\t/x\nend\n";
+  auto r = broker.handle(kClient, Message::sync_state(state));
+  EXPECT_FALSE(r.resync_completed);
+  EXPECT_EQ(broker.pending_syncs(), 1u);
+  EXPECT_EQ(snapshot_to_string(broker).find("/x"), std::string::npos);
+
+  // The same state from a neighbour is imported and completes the resync.
+  auto from_neighbor = broker.handle(kLeft, Message::sync_state(state));
+  EXPECT_TRUE(from_neighbor.resync_completed);
+  EXPECT_NE(snapshot_to_string(broker).find("sub\t/x\t1"), std::string::npos);
+}
+
+TEST(LinkSync, ClientSyncRequestGetsNoReply) {
+  Broker broker = make_broker();
+  broker.handle(kLeft, Message::subscribe(X("/a")));
+  EXPECT_TRUE(broker.handle(kClient, Message::sync_request()).forwards.empty());
+  auto reply = broker.handle(kRight, Message::sync_request());
+  ASSERT_EQ(reply.forwards.size(), 1u);
+  EXPECT_EQ(reply.forwards[0].interface, kRight);
+  EXPECT_EQ(reply.forwards[0].message.type(), MessageType::kSyncState);
 }
 
 }  // namespace

@@ -222,6 +222,65 @@ TEST(ConnectionClose, PeerClosingWithQueuedBytesClosesWithoutSignal) {
   connection.reset();
 }
 
+// A peer that writes its last frames and then resets the connection
+// (SO_LINGER {1, 0}: RST instead of FIN) leaves those frames queued ahead
+// of the error, and the kernel hands them out before ECONNRESET. They are
+// valid traffic: every one must surface before the close handler runs.
+TEST(ConnectionClose, FramesReadBeforeAResetAreSurfaced) {
+  int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  int peer = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(peer, 0);
+  ASSERT_EQ(::connect(peer, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  int fd = ::accept4(listener, nullptr, nullptr, SOCK_NONBLOCK);
+  ASSERT_GE(fd, 0);
+  ::close(listener);
+
+  constexpr std::size_t kFrames = 20;
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    PublishMsg pub;
+    pub.path = parse_path("/a/b");
+    pub.doc_id = i + 1;
+    std::vector<std::uint8_t> frame = wire::encode_frame(Message{pub});
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  ASSERT_EQ(::write(peer, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  linger reset{1, 0};
+  ASSERT_EQ(::setsockopt(peer, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)),
+            0);
+  ::close(peer);
+
+  EventLoop loop;
+  auto connection =
+      std::make_unique<Connection>(&loop, fd, Connection::Options{});
+  std::size_t frames = 0;  // loop-thread only until `closed` is set
+  std::promise<std::size_t> closed;
+  connection->set_frame_handler([&](wire::Decoded&&) { ++frames; });
+  connection->set_close_handler(
+      [&](const std::string&) { closed.set_value(frames); });
+  std::thread runner([&] { loop.run(); });
+  loop.post([&] { connection->start(); });
+  std::future<std::size_t> surfaced = closed.get_future();
+  ASSERT_EQ(surfaced.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_EQ(surfaced.get(), kFrames);
+
+  loop.stop();
+  runner.join();
+  connection.reset();
+}
+
 // -- Handshake ---------------------------------------------------------------
 
 /// Dials `port`, writes `bytes`, and reports whether the broker hung up
