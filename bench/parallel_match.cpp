@@ -35,6 +35,7 @@
 #include <algorithm>
 
 #include "dtd/universe.hpp"
+#include "machine.hpp"
 #include "metrics_snapshot.hpp"
 #include "obs/metrics.hpp"
 #include "router/broker.hpp"
@@ -234,6 +235,7 @@ int main(int argc, char** argv) {
   flags.define("rate", "0.9", "target covering rate of the subscription set");
   flags.define("min-seconds", "1.0", "minimum timed duration per point");
   flags.define("out", "BENCH_parallel.json", "output file");
+  flags.define("git-rev", "unknown", "source revision, recorded in the config");
   if (!flags.parse(argc, argv)) return 0;
 
   const int hops = static_cast<int>(flags.get_int("hops"));
@@ -437,7 +439,9 @@ int main(int argc, char** argv) {
       << "    \"batch\": " << batch << ",\n"
       << "    \"hops\": " << hops << ",\n"
       << "    \"seed\": " << flags.get_int64("seed") << ",\n"
-      << "    \"cores\": " << cores << "\n"
+      << "    \"cores\": " << cores << ",\n"
+      << "    \"cpu_model\": \"" << cpu_model() << "\",\n"
+      << "    \"git_rev\": \"" << flags.get_string("git-rev") << "\"\n"
       << "  },\n"
       << "  \"sweep\": [\n";
   for (std::size_t i = 0; i < sweep.size(); ++i) {

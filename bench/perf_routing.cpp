@@ -11,8 +11,9 @@
 //       scan with the string matcher), plus the covering tree's compiled
 //       index vs its pruned DFS scan as an informative extra;
 //   subscription load    — N generated XPEs into a default covering PRT
-//       (track_covered on): wall time and covering tests per insert, the
-//       smallest N checked against the unpruned reference tree.
+//       (track_covered on): wall time, covering tests and super-pointer
+//       sweep visits per insert, the smallest N checked against the
+//       unpruned reference tree.
 //
 // Every indexed result is verified equal to the reference before timing;
 // the run aborts if any differs. The run also replays the pinned
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "adv/derive.hpp"
+#include "machine.hpp"
 #include "metrics_snapshot.hpp"
 #include "net/golden.hpp"
 #include "net/simulator.hpp"
@@ -94,6 +96,7 @@ struct LoadPoint {
   std::size_t subscriptions = 0;
   double seconds = 0.0;
   std::size_t covering_tests = 0;
+  std::size_t sweep_visits = 0;
   std::size_t covered = 0;
 };
 
@@ -114,6 +117,7 @@ LoadPoint load_table(const std::vector<Xpe>& xpes, int hops,
   }
   point.seconds = std::chrono::duration<double>(Clock::now() - start).count();
   point.covering_tests = prt.comparisons();
+  point.sweep_visits = prt.tree()->sweep_visits();
   for (const Prt::InsertOutcome& o : outcomes) point.covered += o.covered;
   if (reference) {
     for (std::size_t i = 0; i < xpes.size(); ++i) {
@@ -151,6 +155,7 @@ int main(int argc, char** argv) {
                "subscription-load sizes, ascending; the first is checked "
                "against the reference tree");
   flags.define("out", "BENCH_routing.json", "output file");
+  flags.define("git-rev", "unknown", "source revision, recorded in the config");
   if (!flags.parse(argc, argv)) return 0;
 
   const std::size_t subs = flags.get_int("subs");
@@ -314,10 +319,12 @@ int main(int argc, char** argv) {
       load.push_back(load_table(xpes, hops, k == 0 ? &reference : nullptr,
                                 &load_same));
       const LoadPoint& p = load.back();
+      const double inserts = static_cast<double>(p.subscriptions);
       std::cout << "load " << p.subscriptions << ": " << p.seconds << " s, "
-                << static_cast<double>(p.covering_tests) /
-                       static_cast<double>(p.subscriptions)
-                << " covering tests/insert\n";
+                << static_cast<double>(p.covering_tests) / inserts
+                << " covering tests/insert, "
+                << static_cast<double>(p.sweep_visits) / inserts
+                << " sweep visits/insert\n";
     }
     verified = verified && load_same;
   }
@@ -347,6 +354,8 @@ int main(int argc, char** argv) {
       << "    \"publication_paths\": " << paths.size() << ",\n"
       << "    \"hops\": " << hops << ",\n"
       << "    \"cores\": " << std::thread::hardware_concurrency() << ",\n"
+      << "    \"cpu_model\": \"" << cpu_model() << "\",\n"
+      << "    \"git_rev\": \"" << flags.get_string("git-rev") << "\",\n"
       << "    \"seed\": " << flags.get_int64("seed") << "\n"
       << "  },\n"
       << "  \"subscription_forward\": {\n";
@@ -373,6 +382,8 @@ int main(int argc, char** argv) {
         << ", \"covering_tests\": " << p.covering_tests
         << ", \"covering_tests_per_insert\": "
         << static_cast<double>(p.covering_tests) / n
+        << ", \"sweep_visits_per_insert\": "
+        << static_cast<double>(p.sweep_visits) / n
         << ", \"covered\": " << p.covered << "}";
   }
   out << "\n    ]\n  },\n"

@@ -7,7 +7,10 @@ Only CPU-time figures are compared (worker busy ns/pub, control ns/pub,
 stage ns/pub): they are per-publication and immune to preemption, so the
 gate survives noisy shared CI runners far better than wall clock would.
 Absolute machine-speed differences still shift them, which is why the
-tolerance is a generous 25% and the job is a smoke test, not a benchmark.
+tolerance is a generous 25% and the job is a smoke test, not a benchmark;
+the baseline must be recorded on the runner class the job runs on (its
+config names the cores, CPU model and revision, printed beside the
+current run's).
 
 Usage: perf_smoke_check.py <BENCH_parallel.json> <perf_baseline.json>
 """
@@ -32,6 +35,13 @@ def main():
         current = json.load(f)
     with open(sys.argv[2]) as f:
         baseline = json.load(f)
+
+    # The figures are only comparable on the same machine class.
+    for label, doc in (("current", current), ("baseline", baseline)):
+        config = doc.get("config", {})
+        print(f"{label:8} cores {config.get('cores', '?')}, "
+              f"cpu {config.get('cpu_model', '?')}, "
+              f"rev {config.get('git_rev', '?')}")
 
     checks = []  # (name, current ns, baseline ns)
 

@@ -41,6 +41,13 @@ auto absorbed_pair(IfaceId hop, const Xpe& xpe) {
   };
 }
 
+/// ORs `node`'s subtree signature into every ancestor's.
+void widen_ancestors(const SubscriptionTree::Node* node) {
+  for (SubscriptionTree::Node* a = node->parent; a; a = a->parent) {
+    a->sub_sig |= node->sub_sig;
+  }
+}
+
 }  // namespace
 
 bool SubscriptionTree::covers_cached(const Xpe& a, std::uint64_t a_sig,
@@ -138,6 +145,7 @@ SubscriptionTree::InsertResult SubscriptionTree::insert_new(const Xpe& xpe,
   auto node = std::make_unique<Node>();
   node->seq = next_seq_++;
   node->sig = symbol_sig(xpe);
+  node->sub_sig = node->sig;
   node->xpe = xpe;
   node->hops.insert(hop);
   Node* raw = node.get();
@@ -207,12 +215,14 @@ SubscriptionTree::InsertResult SubscriptionTree::insert_new(const Xpe& xpe,
         root_child_removed(child.get());
       }
       child->parent = raw;
+      raw->sub_sig |= child->sub_sig;
       raw->children.push_back(std::move(child));
     }
     parent->children = std::move(kept);
   }
   raw->parent = parent;
   parent->children.push_back(std::move(node));
+  widen_ancestors(raw);
   if (parent == root_.get()) root_child_added(raw);
   by_xpe_.emplace(xpe, raw);
   note_index_dirty(raw);
@@ -232,16 +242,26 @@ void SubscriptionTree::collect_covered_outside(Node* origin_node,
                                                std::vector<Xpe>* out) {
   // Iterative DFS over the whole tree except the newcomer's subtree.
   // Both covering requests per node pass the signature test first, so the
-  // walk reads two signatures per node and runs covers() only on the few
-  // compatible pairs; the visiting order, and with it the order of the
-  // recorded pointers, is that of the plain DFS.
+  // walk runs covers() only on the few compatible pairs. A subtree where
+  // both tests must fail is skipped whole: descendants' signatures
+  // contain node->sig, so none covers the newcomer, and all lie inside
+  // node->sub_sig, so the newcomer covers none. Every request skipped is
+  // one the signature test would refuse uncounted, so the visiting order
+  // of the rest, the recorded pointers and comparisons() are those of the
+  // plain DFS.
   std::vector<Node*> stack;
   for (auto& child : root_->children) {
     if (child.get() != origin_node) stack.push_back(child.get());
   }
+  const std::uint64_t origin_sig = origin_node->sig;
   while (!stack.empty()) {
     Node* node = stack.back();
     stack.pop_back();
+    ++sweep_visits_;
+    if (!sig_may_cover(node->sig, origin_sig) &&
+        !sig_may_cover(origin_sig, node->sub_sig)) {
+      continue;
+    }
     if (node_covers(origin_node, node)) {
       // The newcomer covers this top-of-covered-region node: shortcut via
       // a super pointer; its subtree is covered transitively, so there is
@@ -349,6 +369,7 @@ SubscriptionTree::Node* SubscriptionTree::merge_children(
   auto merger = std::make_unique<Node>();
   merger->seq = next_seq_++;
   merger->sig = symbol_sig(merger_xpe);
+  merger->sub_sig = merger->sig;
   merger->xpe = merger_xpe;
   merger->merger = true;
   Node* raw = merger.get();
@@ -433,6 +454,12 @@ SubscriptionTree::Node* SubscriptionTree::merge_children(
     }
   }
   adoption_parent->children = std::move(kept);
+  // The merger's subtree: the originals' children and the captured
+  // siblings.
+  for (const auto& child : adopted->children) {
+    adopted->sub_sig |= child->sub_sig;
+  }
+  widen_ancestors(adopted);
 
   // A super target that ended up inside the merger's own subtree (it was a
   // child of another original, or a covered sibling) is now expressed by
@@ -459,6 +486,21 @@ SubscriptionTree::Node* SubscriptionTree::merge_children(
 
 bool SubscriptionTree::remove(const Xpe& xpe, IfaceId hop) {
   Node* node = find(xpe);
+  if (node && node->merger && node->hops.count(hop)) {
+    // A hop that subscribed the merger's own XPE may also hold originals
+    // the merger absorbed from it: then the merger still routes the hop,
+    // and only the (hop, xpe) pair goes.
+    Absorbed& absorbed = node->absorbed;
+    auto other = [&](const auto& pair) {
+      return pair.first == hop && !(pair.second == xpe);
+    };
+    if (std::any_of(absorbed.begin(), absorbed.end(), other)) {
+      if (std::erase_if(absorbed, absorbed_pair(hop, xpe))) {
+        note_absorbed_changed(node);
+      }
+      return false;
+    }
+  }
   if (node && node->hops.erase(hop) > 0) {
     if (node->hops.empty()) {
       detach_node(node);
@@ -516,6 +558,14 @@ void SubscriptionTree::restore_absorbed(const Xpe& merger, IfaceId hop,
   if (!node || !node->merger || !node->hops.count(hop)) return;
   node->absorbed.emplace_back(hop, xpe);
   note_absorbed_changed(node);
+}
+
+void SubscriptionTree::drop_absorbed(IfaceId hop) {
+  if (mergers_ == 0) return;
+  auto of_hop = [hop](const auto& pair) { return pair.first == hop; };
+  for (const auto& [xpe, node] : by_xpe_) {
+    if (std::erase_if(node->absorbed, of_hop)) note_absorbed_changed(node);
+  }
 }
 
 bool SubscriptionTree::erase(const Xpe& xpe) {
@@ -681,6 +731,18 @@ std::string SubscriptionTree::validate() const {
   }
   if (seen != by_xpe_.size()) return "lookup map size mismatch";
   if (mergers != mergers_) return "merger count mismatch";
+  // Subtree signatures: each must contain the OR over its subtree.
+  std::string sub_sig_problem;
+  auto subtree_sig = [&](auto&& self, const Node* node) -> std::uint64_t {
+    std::uint64_t sig = node->sig;
+    for (const auto& child : node->children) sig |= self(self, child.get());
+    if ((sig & ~node->sub_sig) != 0 && sub_sig_problem.empty()) {
+      sub_sig_problem = "subtree signature too small: " + node->xpe.to_string();
+    }
+    return sig;
+  };
+  for (const auto& child : root_->children) subtree_sig(subtree_sig, child.get());
+  if (!sub_sig_problem.empty()) return sub_sig_problem;
   // Root signature index: exactly one slot per root child, back-link and
   // signature in sync.
   if (root_nodes_.size() != root_->children.size() ||

@@ -64,6 +64,11 @@ class SubscriptionTree {
     /// insert scans test signatures from the packed root index instead
     /// of touching each sibling's XPE.
     std::uint64_t sig = 0;
+    /// A superset of the OR of `sig` over this node's subtree (itself
+    /// included). Inserts and merges OR the newcomer's value into every
+    /// ancestor; removals leave it, so it may be stale but never too
+    /// small. The super-pointer sweep skips a subtree by it.
+    std::uint64_t sub_sig = 0;
     /// This node's slot in root_nodes_/root_sigs_; meaningful only
     /// while the node is a direct child of the root.
     std::size_t root_slot = 0;
@@ -125,11 +130,18 @@ class SubscriptionTree {
   /// Removes `hop` from the subscription; the node disappears when no hop
   /// remains. Returns true if the subscription existed with that hop.
   /// Otherwise an XPE a merger absorbed from `hop` is dropped from the
-  /// merger's absorbed pairs (the merger still routes `hop`).
+  /// merger's absorbed pairs (the merger still routes `hop`). So is the
+  /// merger's own XPE while `hop` holds other absorbed pairs: then the
+  /// merger keeps `hop` and this returns false.
   bool remove(const Xpe& xpe, IfaceId hop);
 
   /// Removes the subscription entirely (all hops). Returns true if found.
   bool erase(const Xpe& xpe);
+
+  /// Drops every pair mergers absorbed from `hop`, leaving their routes:
+  /// a departing interface holds none of them, and once they are gone
+  /// remove() withdraws each merger's route to it like any other.
+  void drop_absorbed(IfaceId hop);
 
   /// True if some subscription other than `xpe` itself covers `xpe`.
   bool covered(const Xpe& xpe) const;
@@ -200,6 +212,11 @@ class SubscriptionTree {
   /// count (the request happened; only its cost changed), so the figure
   /// does not depend on the cache.
   std::size_t comparisons() const { return comparisons_; }
+
+  /// Nodes the super-pointer sweep has read since construction, skipped
+  /// subtree roots included: the sweep's cost, which comparisons() does
+  /// not show because pruned requests are not counted.
+  std::size_t sweep_visits() const { return sweep_visits_; }
 
   /// Covering-memo statistics (see DESIGN.md "Performance architecture").
   std::size_t cover_cache_hits() const { return cover_cache_hits_; }
@@ -297,6 +314,7 @@ class SubscriptionTree {
   std::unordered_map<Xpe, Node*, XpeHash> by_xpe_;
   std::size_t mergers_ = 0;  ///< merger nodes in the tree
   mutable std::size_t comparisons_ = 0;
+  std::size_t sweep_visits_ = 0;
 
   mutable std::unordered_map<std::uint64_t, bool> cover_cache_;
   mutable std::size_t cover_cache_hits_ = 0;

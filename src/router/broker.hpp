@@ -242,6 +242,12 @@ class Broker {
   std::size_t merges_applied() const { return merges_applied_; }
   const IfaceSet& neighbors() const { return neighbors_; }
 
+  /// Interfaces on which some subscription covering `xpe` already
+  /// provides a route: the union of the coverers' forwarding records.
+  /// The walk stops once the union holds every neighbour, so it is exact
+  /// on the neighbours, the only interfaces subscriptions go to.
+  IfaceSet coverage_interfaces(const Xpe& xpe) const;
+
   /// The parallel engine, or nullptr when match_threads == 1 (metrics
   /// export and tests).
   const MatchScheduler* scheduler() const { return scheduler_.get(); }
@@ -312,10 +318,6 @@ class Broker {
   /// would lose deliveries).
   void forward_subscription(const Xpe& xpe, IfaceId exclude,
                             ForwardSink& sink);
-
-  /// Interfaces on which some covering subscription already provides a
-  /// route for `xpe` (union of the coverers' forwarding records).
-  IfaceSet coverage_interfaces(const Xpe& xpe) const;
 
   /// Sends `unsubscribe(xpe)` along the recorded forwarding paths.
   void forward_unsubscription(const Xpe& xpe, IfaceId exclude,

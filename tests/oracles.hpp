@@ -10,9 +10,10 @@
 // lookups (linear scans with the string matchers): the differential
 // oracles for the PRT's compiled index and the SRT's symbol index, and the
 // "before" baselines of bench/perf_routing; the covering tree's
-// unpruned insert and remove, the oracle of its signature-pruned
-// maintenance; and the per-client scan, the oracle of the edge exactness
-// the compiled index decides.
+// unpruned insert, remove and merge, the oracle of its signature-pruned
+// maintenance; the broker's full coverer walk, the oracle of the walk
+// that stops at its answer; and the per-client scan, the oracle of the
+// edge exactness the compiled index decides.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +32,7 @@
 #include "match/adv_match.hpp"
 #include "match/covering.hpp"
 #include "match/pub_match.hpp"
+#include "router/broker.hpp"
 #include "router/iface.hpp"
 #include "router/routing_tables.hpp"
 #include "util/rng.hpp"
@@ -239,6 +241,30 @@ inline bool client_delivery_scan(const std::vector<Xpe>& client_xpes,
   return false;
 }
 
+/// Broker::coverage_interfaces walking every coverer chain to the root:
+/// the union of the forwarding records of the new XPE's ancestors and of
+/// each super source and its ancestors.
+inline IfaceSet reference_coverage_interfaces(const Broker& broker,
+                                              const Xpe& xpe) {
+  IfaceSet out;
+  if (!broker.prt().covering()) return out;
+  const SubscriptionTree::Node* node = broker.prt().tree()->find(xpe);
+  if (!node) return out;
+  const auto& record = broker.forwarding_record();
+  auto add_chain = [&](const SubscriptionTree::Node* start) {
+    for (const SubscriptionTree::Node* walk = start; walk && walk->parent;
+         walk = walk->parent) {
+      auto it = record.find(walk->xpe);
+      if (it != record.end()) out.insert(it->second.begin(), it->second.end());
+    }
+  };
+  add_chain(node->parent);
+  for (const SubscriptionTree::Node* source : node->super_sources) {
+    add_chain(source);
+  }
+  return out;
+}
+
 /// Srt::entry_overlaps with the pre-interning string element comparisons.
 /// Compiles a recursive advertisement's automaton into the entry's cache
 /// on first use, exactly as the table itself does.
@@ -368,7 +394,9 @@ class ReferenceCoveringTree {
   }
 
   /// Removes a present XPE: its super pointers go, its children splice to
-  /// its parent in seq order.
+  /// its parent, merged into the siblings by seq (the tree's order, which
+  /// is seq order unless a merge put captured siblings after the
+  /// originals' children).
   void erase(const Xpe& xpe) {
     auto it = nodes_.find(xpe.to_string());
     Node* node = it->second.get();
@@ -376,13 +404,86 @@ class ReferenceCoveringTree {
     for (Node* source : node->super_sources) std::erase(source->super, node);
     Node* parent = node->parent;
     std::erase(parent->children, node);
+    const std::size_t merge_point = parent->children.size();
     for (Node* child : node->children) {
       child->parent = parent;
       parent->children.push_back(child);
     }
-    std::sort(parent->children.begin(), parent->children.end(),
-              [](const Node* a, const Node* b) { return a->seq < b->seq; });
+    std::inplace_merge(
+        parent->children.begin(), parent->children.begin() + merge_point,
+        parent->children.end(),
+        [](const Node* a, const Node* b) { return a->seq < b->seq; });
     nodes_.erase(it);
+  }
+
+  /// SubscriptionTree::merge_children with plain covers() tests: the
+  /// sibling `originals`, in the order given, become one node for
+  /// `merger`, adopted at the nearest ancestor of their parent that covers
+  /// it. Their children, then the adoption parent's other children the
+  /// merger covers, move below it; super pointers from the originals move
+  /// to it unless they point at an original, pointers to them go, and so
+  /// do the merger's pointers into its own subtree.
+  void merge(const std::vector<Xpe>& originals, const Xpe& merger) {
+    std::vector<Node*> olds;
+    for (const Xpe& xpe : originals) {
+      olds.push_back(nodes_.at(xpe.to_string()).get());
+    }
+    auto is_old = [&](const Node* n) {
+      return std::find(olds.begin(), olds.end(), n) != olds.end();
+    };
+    Node* parent = olds.front()->parent;
+    auto owned = std::make_unique<Node>();
+    Node* node = owned.get();
+    node->xpe = merger;
+    node->seq = next_seq_++;
+    Node* adoption = parent;
+    while (adoption != &root_ && !covers(adoption->xpe, merger)) {
+      adoption = adoption->parent;
+    }
+    for (Node* old : olds) {
+      for (Node* target : old->super) {
+        if (is_old(target)) continue;
+        node->super.push_back(target);
+        std::erase(target->super_sources, old);
+        target->super_sources.push_back(node);
+      }
+      for (Node* source : old->super_sources) std::erase(source->super, old);
+      for (Node* child : old->children) {
+        child->parent = node;
+        node->children.push_back(child);
+      }
+    }
+    for (Node* old : olds) {
+      std::erase(parent->children, old);
+      nodes_.erase(old->xpe.to_string());
+    }
+    node->parent = adoption;
+    adoption->children.push_back(node);
+    nodes_.emplace(merger.to_string(), std::move(owned));
+    std::vector<Node*> kept;
+    for (Node* child : adoption->children) {
+      if (child != node && covers(merger, child->xpe)) {
+        child->parent = node;
+        node->children.push_back(child);
+      } else {
+        kept.push_back(child);
+      }
+    }
+    adoption->children = std::move(kept);
+    auto below = [&](const Node* target) {
+      for (const Node* walk = target; walk; walk = walk->parent) {
+        if (walk == node) return true;
+      }
+      return false;
+    };
+    for (auto it = node->super.begin(); it != node->super.end();) {
+      if (below(*it)) {
+        std::erase((*it)->super_sources, node);
+        it = node->super.erase(it);
+      } else {
+        ++it;
+      }
+    }
   }
 
   bool contains(const Xpe& xpe) const {
